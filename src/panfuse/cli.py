@@ -43,6 +43,26 @@ def _worker_count() -> int:
     return max(1, n) if n else min(4, os.cpu_count() or 1)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _pixel(text: str) -> tuple[int, int]:
+    """argparse type: a ROW,COL pixel."""
+    try:
+        row, col = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected ROW,COL, got {text!r}") from None
+    return row, col
+
+
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--height", type=int, default=32)
@@ -88,6 +108,16 @@ def _run_one(args: argparse.Namespace, scene_path: str, out_path: str,
              params: AffinityParams | None) -> dict:
     scene, gt = load_scene(scene_path)
     variant = Variant(args.variant)
+    # Checked before anything is written, so a failure leaves no output.
+    if args.dump_match and gt is None:
+        raise CueError("--dump-match needs ground truth in the scene container")
+    if args.dump_affinity:
+        row, col = args.dump_affinity
+        if not (0 <= row < scene.height and 0 <= col < scene.width):
+            raise CueError(
+                f"--dump-affinity pixel ({row}, {col}) is outside scene {scene_path} "
+                f"({scene.height}x{scene.width} grid)"
+            )
 
     if args.mode == "heuristic":
         merger = MergerParams(
@@ -119,8 +149,6 @@ def _run_one(args: argparse.Namespace, scene_path: str, out_path: str,
         "void_pixels": int((pmap.label_map < 0).sum()),
     }
     if args.dump_match:
-        if gt is None:
-            raise CueError("--dump-match needs ground truth in the scene container")
         dets = append_stuff_boxes(scene.detections, scene.catalog,
                                   scene.height, scene.width)
         match = match_segments(gt, dets, args.match_threshold, scene.catalog)
@@ -128,9 +156,6 @@ def _run_one(args: argparse.Namespace, scene_path: str, out_path: str,
         match_path.write_text(json.dumps(match.to_json_dict(), indent=2, sort_keys=True))
         summary["match"] = str(match_path)
     if args.dump_affinity:
-        if params is None:
-            raise CueError("--dump-affinity needs --checkpoint")
-        row, col = (int(x) for x in args.dump_affinity.split(","))
         q0, q1 = project_features(scene.features, params)
         amap = affinity_map_for_pixel(q0, q1, (row, col))
         apath = Path(out_path) / f"affinity_{row}_{col}.panc"
@@ -142,6 +167,8 @@ def _run_one(args: argparse.Namespace, scene_path: str, out_path: str,
 def cmd_run(args: argparse.Namespace) -> int:
     if len(args.scene) != len(args.out):
         raise CueError(f"got {len(args.scene)} scenes but {len(args.out)} outputs")
+    if args.dump_affinity and not args.checkpoint:
+        raise CueError("--dump-affinity needs --checkpoint")
     params = AffinityParams.load(args.checkpoint) if args.checkpoint else None
     pairs = list(zip(args.scene, args.out))
     if len(pairs) == 1:
@@ -305,12 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--merger-overlap", type=float, default=0.5)
     p.add_argument("--merger-stuff-area", type=int, default=64)
     p.add_argument("--dump-match", action="store_true")
-    p.add_argument("--dump-affinity", default=None, metavar="ROW,COL")
+    p.add_argument("--dump-affinity", type=_pixel, default=None, metavar="ROW,COL")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("train", help="train the affinity head on synthetic scenes")
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int, default=40000)
+    p.add_argument("--steps", type=_positive_int, default=40000)
     p.add_argument("--learning-rate", type=float, default=0.01)
     p.add_argument("--no-affinity", action="store_true")
     p.add_argument("--detections-source", choices=["predicted", "ground_truth"],
@@ -343,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="train and compare preset configurations")
     p.add_argument("--preset", choices=["affinity", "detections", "variants"],
                    required=True)
-    p.add_argument("--steps", type=int, default=40000)
+    p.add_argument("--steps", type=_positive_int, default=40000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_ablate)

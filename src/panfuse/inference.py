@@ -75,8 +75,8 @@ class MergerParams:
 def infer_panoptic(p: np.ndarray, channel_meta: list[ChannelInfo]) -> PanopticMap:
     """Per-pixel channel argmax collapsed to (class, instance) segments.
 
-    Channels that win nowhere produce no segment; every pixel is assigned
-    (the output contains zero VOID pixels).
+    Channels that win nowhere produce no segment and use no instance id;
+    every pixel is assigned (the output contains zero VOID pixels).
     """
     p = require_tensor3(p, "panoptic logits")
     if p.shape[2] != len(channel_meta):
@@ -90,13 +90,13 @@ def infer_panoptic(p: np.ndarray, channel_meta: list[ChannelInfo]) -> PanopticMa
     for k, info in enumerate(channel_meta):
         pixels = winners == k
         area = int(pixels.sum())
+        if area == 0:
+            continue
         if info.kind == "thing":
-            instance_id = next_instance  # ids follow channel order
+            instance_id = next_instance  # ids follow the order of winning channels
             next_instance += 1
         else:
             instance_id = 0
-        if area == 0:
-            continue
         index = len(segments)
         label[pixels] = index
         segments.append(Segment(index=index, class_id=info.class_id,

@@ -359,6 +359,15 @@ def _disjoint(a: Box, b: Box) -> bool:
     return a.x1 <= b.x0 or b.x1 <= a.x0 or a.y1 <= b.y0 or b.y1 <= a.y0
 
 
+def _non_finite(name: str, t: np.ndarray) -> list[str]:
+    """A violation naming the first pixel of ``t`` (h, w, c) with a NaN or inf."""
+    bad = ~np.isfinite(t).all(axis=2)
+    if not bad.any():
+        return []
+    y, x = np.argwhere(bad)[0]
+    return [f"{name}: non-finite value at pixel ({y}, {x})"]
+
+
 def validate_scene(scene: SceneCues) -> list[str]:
     """Check scene invariants; returns one message per violation."""
     violations: list[str] = []
@@ -370,6 +379,7 @@ def validate_scene(scene: SceneCues) -> list[str]:
         violations.append(
             f"semantic_probs: {c} channels but catalog has {scene.catalog.n_classes} classes"
         )
+    violations += _non_finite("semantic_probs", v)
     sums = v.sum(axis=2)
     bad = np.abs(sums - 1.0) > 1e-6
     if bad.any():
@@ -381,6 +391,8 @@ def validate_scene(scene: SceneCues) -> list[str]:
         violations.append(
             f"features: grid {scene.features.shape[:2]} does not match semantic_probs {(h, w)}"
         )
+    else:
+        violations += _non_finite("features", scene.features)
     for i, det in enumerate(scene.detections):
         b = det.box
         if b.x0 >= b.x1 or b.y0 >= b.y1:

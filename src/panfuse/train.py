@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affinity import AffinityParams, apply_affinity_factored, backward_affinity, project_features
-from .errors import NumericError
+from .errors import DimensionError, NumericError
 from .inference import MergerParams, PanopticMap, heuristic_merge, infer_panoptic, panoptic_from_ground_truth
 from .matching import TargetMap, build_target_map, match_segments, panoptic_matching_loss
 from .metrics import PQReport, PQStats
+from .numerics import IGNORE
 from .potential import DynamicPotential, Variant, append_stuff_boxes, build_potential, filter_by_score
 from .scene import Detection, GroundTruthPanoptic, SceneCues, SynthConfig, synth_scene
 
@@ -73,12 +74,48 @@ class TrainingReport:
 
 @dataclass
 class SceneBundle:
-    """Per-scene quantities that stay fixed while parameters change."""
+    """Per-scene quantities that stay fixed while parameters change.
+
+    Construction also derives what ``loss_and_grads`` needs from the
+    potential, features and target, and checks the target against the
+    potential as ``panoptic_matching_loss`` does; the arrays must not
+    change afterwards.
+    """
 
     scene: SceneCues
     gt: GroundTruthPanoptic
     potential: DynamicPotential
     target: TargetMap
+    psi_flat: np.ndarray = field(init=False, repr=False)  # (pixels, k) view of psi
+    features_flat: np.ndarray = field(init=False, repr=False)  # (pixels, c)
+    valid_pixels: np.ndarray = field(init=False, repr=False)  # flat indices, not IGNORE
+    ignored_pixels: np.ndarray = field(init=False, repr=False)  # flat indices, IGNORE
+    target_flat: np.ndarray = field(init=False, repr=False)  # pixel * k + target channel
+    n_valid: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        psi = self.potential.psi
+        h, w, k = psi.shape
+        label = self.target.label_map
+        if label.shape != (h, w):
+            raise DimensionError(
+                f"target grid {label.shape} does not match logits {(h, w)}"
+            )
+        flat_label = label.reshape(-1)
+        valid = flat_label != IGNORE
+        channels = flat_label[valid]
+        if channels.size and (channels.max() >= k or channels.min() < 0):
+            raise DimensionError(
+                f"target references channel {channels.max()} "
+                f"but logits have {k} channels"
+            )
+        features = self.scene.features
+        self.psi_flat = psi.reshape(-1, k)
+        self.features_flat = features.reshape(-1, features.shape[2])
+        self.valid_pixels = np.flatnonzero(valid)
+        self.ignored_pixels = np.flatnonzero(~valid)
+        self.target_flat = self.valid_pixels * k + channels
+        self.n_valid = int(channels.size)
 
 
 def ground_truth_detections(scene: SceneCues, gt: GroundTruthPanoptic) -> list[Detection]:
@@ -125,6 +162,68 @@ def training_loss(bundle: SceneBundle, params: AffinityParams,
     else:
         p = psi
     return panoptic_matching_loss(p, bundle.target)
+
+
+def loss_and_grads(bundle: SceneBundle, params: AffinityParams,
+                   buffers: dict | None = None,
+                   ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One training step's loss and its (d_w0, d_b0, d_w1, d_b1).
+
+    Bit for bit what ``project_features``, ``apply_affinity_factored``,
+    ``panoptic_matching_loss`` and ``backward_affinity`` give, in one pass:
+    the projections and ``exp`` are computed once, and the input gradients
+    (``d_psi``, ``d_features``) are not computed at all. The large
+    intermediates live in ``buffers``, which maps (pixels, c, k) to arrays
+    reused by every call of that shape.
+    """
+    psi, features = bundle.psi_flat, bundle.features_flat
+    n, k = psi.shape
+    c = features.shape[1]
+    if bundle.n_valid == 0:
+        return (0.0, np.zeros_like(params.w0), np.zeros_like(params.b0),
+                np.zeros_like(params.w1), np.zeros_like(params.b1))
+    if buffers is None:
+        buffers = {}
+    if (n, c, k) not in buffers:
+        buffers[n, c, k] = (np.empty((n, c)), np.empty((n, c)), np.empty((n, k)),
+                            np.empty((n, c)), np.empty((n, c), dtype=bool))
+    q0, q1, g, d, live = buffers[n, c, k]
+
+    # Forward: rectified projections, logits, shifted logits.
+    for q, weight, bias in ((q0, params.w0, params.b0), (q1, params.w1, params.b1)):
+        np.matmul(features, weight, out=q)
+        q += bias
+        np.maximum(q, 0.0, out=q)
+    inner = q1.T @ psi
+    np.matmul(q0, inner, out=g)
+    np.add(psi, g, out=g)
+    g -= g.max(axis=1, keepdims=True)
+
+    # Loss: log-softmax at the target channels of the valid pixels.
+    picked = g.take(bundle.target_flat)
+    np.exp(g, out=g)
+    # Summed over the (h, w, k) layout, as the reference does: other
+    # summation orders differ in the last bit once k >= 8.
+    sums = g.reshape(bundle.potential.psi.shape).sum(axis=2).reshape(n)
+    log_probs = picked - np.log(sums[bundle.valid_pixels])
+    loss = float(-(log_probs.sum()) / bundle.n_valid)
+
+    # d_loss/d_p = (softmax - onehot) / n_valid, zero at IGNORE pixels.
+    g /= sums[:, None]
+    g.reshape(-1)[bundle.target_flat] -= 1.0
+    g[bundle.ignored_pixels] = 0.0
+    g /= bundle.n_valid
+
+    # Backward through the factored product and both rectifiers.
+    d_inner = q0.T @ g
+    np.matmul(g, inner.T, out=d)
+    np.greater(q0, 0.0, out=live)
+    d *= live
+    d_w0, d_b0 = features.T @ d, d.sum(axis=0)
+    np.matmul(psi, d_inner.T, out=d)
+    np.greater(q1, 0.0, out=live)
+    d *= live
+    return loss, d_w0, d_b0, features.T @ d, d.sum(axis=0)
 
 
 def make_pool(cfg: TrainConfig) -> list[SceneBundle]:
@@ -185,6 +284,7 @@ def train_toy(cfg: TrainConfig) -> TrainingReport:
     params = AffinityParams.init(cfg.scene.feature_dim, seed=cfg.seed,
                                  scale=cfg.param_scale)
     losses: list[float] = []
+    buffers: dict = {}
     for step in range(cfg.steps):
         bundle = pool[step % len(pool)]
         if not cfg.use_affinity:
@@ -193,20 +293,16 @@ def train_toy(cfg: TrainConfig) -> TrainingReport:
                 raise NumericError(f"loss diverged at step {step}")
             losses.append(loss)
             continue
-        psi = bundle.potential.psi
-        q0, q1 = project_features(bundle.scene.features, params)
-        p = apply_affinity_factored(psi, q0, q1)
-        loss, grad_p = panoptic_matching_loss(p, bundle.target)
+        loss, d_w0, d_b0, d_w1, d_b1 = loss_and_grads(bundle, params, buffers)
         if not np.isfinite(loss):
             raise NumericError(f"loss diverged at step {step}")
         losses.append(loss)
-        grads = backward_affinity(psi, bundle.scene.features, params, grad_p)
         lr = cfg.learning_rate
         params = AffinityParams(
-            w0=params.w0 - lr * grads.d_w0,
-            b0=params.b0 - lr * grads.d_b0,
-            w1=params.w1 - lr * grads.d_w1,
-            b1=params.b1 - lr * grads.d_b1,
+            w0=params.w0 - lr * d_w0,
+            b0=params.b0 - lr * d_b0,
+            w1=params.w1 - lr * d_w1,
+            b1=params.b1 - lr * d_b1,
         )
     eval_pool = make_eval_pool(cfg)
     final_pq = evaluate_pq(eval_pool, params if cfg.use_affinity else None, cfg.variant)

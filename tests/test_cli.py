@@ -88,6 +88,50 @@ def test_run_dump_match_and_affinity(tmp_path):
     assert np.array_equal(amap, affinity_map_for_pixel(q0, q1, (4, 7)))
 
 
+@pytest.mark.parametrize("steps", ["0", "-3", "x"])
+def test_train_and_ablate_steps_usage_error(tmp_path, capsys, steps):
+    assert run_cli("train", "--out", str(tmp_path / "t"), "--steps", steps) == 2
+    assert "--steps" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+    assert run_cli("ablate", "--preset", "affinity", "--steps", steps) == 2
+    assert "--steps" in capsys.readouterr().err
+
+
+@pytest.fixture
+def scene_and_checkpoint(tmp_path):
+    scene_dir = tmp_path / "scene"
+    assert run_cli(*synth_args(scene_dir)) == 0
+    train_out = tmp_path / "train"
+    assert run_cli("train", "--out", str(train_out), "--steps", "2",
+                   "--scenes", "1", "--eval-scenes", "1") == 0
+    return scene_dir, train_out / "checkpoint"
+
+
+@pytest.mark.parametrize("pixel", ["4", "4,7,1", "a,b", "4;7"])
+def test_run_malformed_dump_affinity_usage_error(tmp_path, capsys, scene_and_checkpoint,
+                                                 pixel):
+    scene_dir, ckpt = scene_and_checkpoint
+    out = tmp_path / "pred"
+    assert run_cli("run", "--scene", str(scene_dir), "--out", str(out),
+                   "--checkpoint", str(ckpt), "--dump-affinity", pixel) == 2
+    assert "ROW,COL" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pixel", ["40,1", "1,32", "-1,3"])
+def test_run_dump_affinity_outside_grid_exits_3(tmp_path, capsys, scene_and_checkpoint,
+                                                pixel):
+    scene_dir, ckpt = scene_and_checkpoint
+    out = tmp_path / "pred"
+    code = run_cli("run", "--scene", str(scene_dir), "--out", str(out),
+                   "--checkpoint", str(ckpt), f"--dump-affinity={pixel}")
+    assert code == 3
+    err = capsys.readouterr().err
+    row, col = pixel.split(",")
+    assert str(scene_dir) in err and f"({row}, {col})" in err
+    assert not (out / "panoptic.panc").exists()
+
+
 def test_train_deterministic(tmp_path):
     out1, out2 = tmp_path / "t1", tmp_path / "t2"
     args = ["--steps", "8", "--scenes", "2", "--eval-scenes", "1", "--seed", "5"]

@@ -43,6 +43,22 @@ def test_infer_two_disjoint_things():
     assert sorted(s.instance_id for s in things) == [1, 2]
 
 
+def test_instance_ids_count_only_winning_thing_channels(tmp_path):
+    # 1001 thing channels, of which only the first and the last win pixels.
+    p = np.zeros((4, 4, 1002))
+    p[:, :, 0] = 0.5
+    p[:2, :2, 1] = 1.0
+    p[2:, 2:, 1001] = 1.0
+    meta = [ChannelInfo("stuff", 0, 0)] + [ChannelInfo("thing", 1, k)
+                                           for k in range(1, 1002)]
+    pmap = infer_panoptic(p, meta)
+    things = [s for s in pmap.segments if s.kind == "thing"]
+    assert [s.instance_id for s in things] == [1, 2]
+    save_panoptic(pmap, tmp_path / "pred")
+    loaded = load_panoptic(tmp_path / "pred")
+    assert np.array_equal(loaded.label_map, pmap.label_map)
+
+
 def test_infer_never_emits_void():
     scene, _ = synth_scene(SynthConfig(box_truncation=0.2, confusion_rate=0.3),
                            seed=17)

@@ -124,6 +124,16 @@ def test_validate_reports_bad_normalization():
     assert "normalization" in violations[0]
 
 
+@pytest.mark.parametrize("array", ["semantic_probs", "features"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_validate_reports_non_finite(array, value):
+    scene, _ = synth_scene(SynthConfig(), seed=1)
+    getattr(scene, array)[2, 5, 1] = value
+    getattr(scene, array)[7, 0, 0] = value
+    violations = validate_scene(scene)
+    assert f"{array}: non-finite value at pixel (2, 5)" in violations
+
+
 def test_validate_reports_degenerate_box():
     scene, _ = synth_scene(SynthConfig(), seed=0)
     det = scene.detections[0]

@@ -1,9 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from panfuse.affinity import AffinityParams
-from panfuse.errors import NumericError
-from panfuse.matching import panoptic_matching_loss
+from panfuse.affinity import (
+    AffinityParams,
+    apply_affinity_factored,
+    backward_affinity,
+    project_features,
+)
+from panfuse.errors import DimensionError, NumericError
+from panfuse.matching import TargetMap, panoptic_matching_loss
 from panfuse.numerics import IGNORE
 from panfuse.potential import Variant
 from panfuse.scene import SynthConfig, synth_scene
@@ -12,7 +19,9 @@ from panfuse.train import (
     ablate,
     grad_check,
     ground_truth_detections,
+    loss_and_grads,
     make_eval_pool,
+    make_pool,
     prepare_training_scene,
     train_toy,
     training_loss,
@@ -117,3 +126,100 @@ def test_ablate_rows_shape():
     assert rows[2].detections_source == "ground_truth"
     for r in rows:
         assert len(r.pq_argmax) == 3
+
+
+# ---------------------------------------------------------------------------
+# The fused training step against the reference path
+# ---------------------------------------------------------------------------
+
+POOL_SCENE = SynthConfig(box_truncation=0.3, confusion_rate=0.1, with_masks=True)
+WIDE_SCENE = SynthConfig(height=64, width=64, n_instances=9, box_jitter=1.5,
+                         box_truncation=0.15)
+
+
+def reference_step(bundle, params):
+    """Loss and parameter gradients through the public reference functions."""
+    psi, features = bundle.potential.psi, bundle.scene.features
+    q0, q1 = project_features(features, params)
+    loss, grad_p = panoptic_matching_loss(apply_affinity_factored(psi, q0, q1),
+                                          bundle.target)
+    grads = backward_affinity(psi, features, params, grad_p)
+    return loss, grads.d_w0, grads.d_b0, grads.d_w1, grads.d_b1
+
+
+def gated_params(feature_dim, seed):
+    """Near-identity weights with random biases, so some rectifiers are dead."""
+    rng = np.random.default_rng(seed)
+    base = AffinityParams.init(feature_dim, seed=seed, scale=0.5)
+    return replace(base, b0=rng.normal(scale=0.3, size=feature_dim),
+                   b1=rng.normal(scale=0.3, size=feature_dim))
+
+
+def assert_same_step(bundle, params, buffers=None):
+    fused = loss_and_grads(bundle, params, buffers)
+    reference = reference_step(bundle, params)
+    assert fused[0] == reference[0]
+    for got, want in zip(fused[1:], reference[1:]):
+        assert got.shape == want.shape and (got == want).all()
+
+
+@pytest.mark.parametrize("scene_cfg, seed, min_channels", [
+    (POOL_SCENE, 0, 1),
+    (WIDE_SCENE, 1, 8),
+])
+def test_loss_and_grads_equals_reference_path(scene_cfg, seed, min_channels):
+    scene, gt = synth_scene(scene_cfg, seed=seed)
+    bundle = prepare_training_scene(scene, gt, Variant.B, "predicted", 0.4)
+    assert bundle.potential.n_channels >= min_channels
+    params = gated_params(scene_cfg.feature_dim, seed)
+    buffers: dict = {}
+    assert_same_step(bundle, params, buffers)
+    # IGNORE pixels get no gradient; reused buffers must not leak values.
+    label = bundle.target.label_map.copy()
+    label[::3, ::2] = IGNORE
+    assert_same_step(replace(bundle, target=TargetMap(label)), params, buffers)
+    assert_same_step(bundle, params, buffers)
+
+
+def test_loss_and_grads_all_ignore_is_zero():
+    scene, gt = synth_scene(POOL_SCENE, seed=2)
+    bundle = prepare_training_scene(scene, gt, Variant.B, "predicted", 0.4)
+    label = np.full_like(bundle.target.label_map, IGNORE)
+    params = gated_params(POOL_SCENE.feature_dim, 2)
+    loss, *grads = loss_and_grads(replace(bundle, target=TargetMap(label)), params)
+    assert loss == 0.0
+    for grad, name in zip(grads, ("w0", "b0", "w1", "b1")):
+        assert grad.shape == getattr(params, name).shape
+        assert not grad.any()
+
+
+def test_out_of_range_target_channel_raises_like_the_loss():
+    scene, gt = synth_scene(POOL_SCENE, seed=3)
+    bundle = prepare_training_scene(scene, gt, Variant.B, "predicted", 0.4)
+    label = bundle.target.label_map.copy()
+    label[5, 5] = bundle.potential.n_channels
+    with pytest.raises(DimensionError) as from_loss:
+        panoptic_matching_loss(bundle.potential.psi, TargetMap(label))
+    with pytest.raises(DimensionError) as from_bundle:
+        replace(bundle, target=TargetMap(label))
+    assert str(from_bundle.value) == str(from_loss.value)
+
+
+def test_train_toy_matches_reference_loop():
+    cfg = TrainConfig(steps=200, seed=4, scenes=8, eval_scenes=1,
+                      scene=POOL_SCENE, match_threshold=0.4)
+    report = train_toy(cfg)
+
+    pool = make_pool(cfg)
+    params = AffinityParams.init(cfg.scene.feature_dim, seed=cfg.seed,
+                                 scale=cfg.param_scale)
+    losses = []
+    for step in range(cfg.steps):
+        loss, d_w0, d_b0, d_w1, d_b1 = reference_step(pool[step % len(pool)], params)
+        losses.append(loss)
+        lr = cfg.learning_rate
+        params = AffinityParams(w0=params.w0 - lr * d_w0, b0=params.b0 - lr * d_b0,
+                                w1=params.w1 - lr * d_w1, b1=params.b1 - lr * d_b1)
+    assert report.loss_curve == losses
+    for name in ("w0", "b0", "w1", "b1"):
+        assert (getattr(report.params, name) == getattr(params, name)).all()
