@@ -86,13 +86,17 @@ class AffinityParams:
     def load(cls, path: str | Path) -> "AffinityParams":
         root = Path(path)
         mpath = root / "params.json"
-        if not mpath.is_file():
-            raise FormatError(f"no params.json in {root}")
-        manifest = json.loads(mpath.read_text())
-        if manifest.get("format") != "panfuse-affinity-params":
-            raise FormatError(f"{mpath} is not an affinity-params manifest")
-        arrays = {n: container.read_tensor(root / manifest["tensors"][n])
-                  for n in ("w0", "b0", "w1", "b1")}
+        manifest = container.read_manifest(mpath, "panfuse-affinity-params",
+                                           "an affinity-params")
+        tensors = container.manifest_value(manifest, "tensors", dict, mpath)
+        arrays = {}
+        for name, rank in (("w0", 2), ("b0", 1), ("w1", 2), ("b1", 1)):
+            file = root / container.manifest_value(tensors, name, str, mpath, "tensors")
+            arrays[name] = container.read_tensor(file)
+            if arrays[name].ndim != rank:
+                raise FormatError(
+                    f"{file}: {name} has shape {arrays[name].shape}, expected rank {rank}"
+                )
         params = cls(**arrays)
         params.validate()
         return params
@@ -143,9 +147,13 @@ def project_features(q: np.ndarray, params: AffinityParams) -> tuple[np.ndarray,
             f"features have width {q.shape[2]}, params expect {params.feature_dim}"
         )
     flat = q.reshape(-1, q.shape[2])
-    q0 = _relu(flat @ params.w0 + params.b0).reshape(q.shape)
-    q1 = _relu(flat @ params.w1 + params.b1).reshape(q.shape)
-    return q0, q1
+    heads = []
+    for weight, bias in ((params.w0, params.b0), (params.w1, params.b1)):
+        a = flat @ weight
+        a += bias  # in place: one (pixels, c) array per head
+        np.maximum(a, 0.0, out=a)
+        heads.append(a.reshape(q.shape))
+    return heads[0], heads[1]
 
 
 def _check_applier_shapes(psi: np.ndarray, q0: np.ndarray, q1: np.ndarray):
@@ -177,7 +185,9 @@ def apply_affinity_factored(psi: np.ndarray, q0: np.ndarray, q1: np.ndarray,
     q1_m = q1.reshape(-1, c)
     if not row_parallel:
         inner = q1_m.T @ psi_m  # (c, k): the only intermediate
-        return (psi_m + q0_m @ inner).reshape(h, w, k)
+        out = q0_m @ inner
+        out += psi_m  # in place: same sum as psi_m + out, one (pixels, k) array fewer
+        return out.reshape(h, w, k)
     partials = [q1[r].T @ psi[r] for r in range(h)]
     inner = _pairwise_sum(partials)
     out = np.empty_like(psi)

@@ -25,7 +25,7 @@ from .inference import MergerParams, heuristic_merge, infer_panoptic, load_panop
 from .matching import boxes_from_segments, match_segments
 from .metrics import ConfusionTS, PQStats, box_average_precision, mean_iou, thing_stuff_confusion
 from .potential import Variant, append_stuff_boxes, build_potential, filter_by_score
-from .scene import SynthConfig, load_scene, save_scene, synth_scene, validate_scene
+from .scene import SynthConfig, load_scene, load_scene_records, save_scene, synth_scene, validate_scene
 from .train import TrainConfig, ablate, render_ablation_table, train_toy
 
 EXIT_OK = 0
@@ -206,19 +206,19 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _eval_one(scene_path: str, pred_path: str):
-    scene, gt = load_scene(scene_path)
+    # Scoring needs no cue payloads: only the ground truth and the detection records.
+    catalog, detections, gt = load_scene_records(scene_path)
     if gt is None:
         raise CueError(f"scene {scene_path} has no ground truth to evaluate against")
     pred = load_panoptic(pred_path)
-    gt_map = panoptic_from_ground_truth(gt, scene.catalog)
+    gt_map = panoptic_from_ground_truth(gt, catalog)
     stats = PQStats().accumulate(pred, gt_map)
     pred_classes = pred.class_map().ravel()
     gt_classes = gt_map.class_map().ravel()
-    confusion = thing_stuff_confusion(pred_classes, gt_classes, scene.catalog)
-    gt_thing_boxes = [(c, b) for c, b in boxes_from_segments(gt)
-                      if scene.catalog.is_thing(c)]
-    ap = box_average_precision(scene.detections, gt_thing_boxes)
-    return scene.catalog, stats, pred_classes, gt_classes, confusion, ap
+    confusion = thing_stuff_confusion(pred_classes, gt_classes, catalog)
+    gt_thing_boxes = [(c, b) for c, b in boxes_from_segments(gt) if catalog.is_thing(c)]
+    ap = box_average_precision(detections, gt_thing_boxes)
+    return catalog, stats, pred_classes, gt_classes, confusion, ap
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

@@ -274,35 +274,43 @@ def box_average_precision(dets: list[Detection],
             [(d.score, i, d.box) for i, d in enumerate(dets) if d.class_id == cid],
             key=lambda item: (-item[0], item[1]),
         )
+        # Each (detection, ground truth) IoU is computed once for all thresholds.
+        ious = [[box_iou(box, gtb) for gtb in gts] for _, _, box in cls_dets]
+        ap_of_flags: dict[tuple[float, ...], float] = {}
         for threshold in AP_IOU_THRESHOLDS:
             if not cls_dets:
                 ap_values.append(0.0)
                 continue
             taken = [False] * len(gts)
             tp_flags = []
-            for _, _, box in cls_dets:
+            for row in ious:
                 best_iou, best_j = 0.0, -1
-                for j, gtb in enumerate(gts):
-                    if taken[j]:
-                        continue
-                    iou = box_iou(box, gtb)
-                    if iou > best_iou:
+                for j, iou in enumerate(row):
+                    if not taken[j] and iou > best_iou:
                         best_iou, best_j = iou, j
                 if best_j >= 0 and best_iou >= threshold:
                     taken[best_j] = True
                     tp_flags.append(1.0)
                 else:
                     tp_flags.append(0.0)
-            tp = np.cumsum(tp_flags)
-            fp = np.cumsum(1.0 - np.asarray(tp_flags))
-            recall = tp / len(gts)
-            precision = tp / np.maximum(tp + fp, 1e-12)
-            # All-point interpolation: running max of precision from the right.
-            envelope = np.maximum.accumulate(precision[::-1])[::-1]
-            prev_r = 0.0
-            ap = 0.0
-            for r, p in zip(recall, envelope):
-                ap += (r - prev_r) * p
-                prev_r = r
-            ap_values.append(ap)
+            key = tuple(tp_flags)
+            if key not in ap_of_flags:  # thresholds often match the same way
+                ap_of_flags[key] = _interpolated_ap(tp_flags, len(gts))
+            ap_values.append(ap_of_flags[key])
     return float(np.mean(ap_values))
+
+
+def _interpolated_ap(tp_flags: list[float], n_gt: int) -> float:
+    """Area under the all-point interpolated precision-recall curve."""
+    tp = np.cumsum(tp_flags)
+    fp = np.cumsum(1.0 - np.asarray(tp_flags))
+    recall = tp / n_gt
+    precision = tp / np.maximum(tp + fp, 1e-12)
+    # All-point interpolation: running max of precision from the right.
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    prev_r = 0.0
+    ap = 0.0
+    for r, p in zip(recall, envelope):
+        ap += (r - prev_r) * p
+        prev_r = r
+    return ap

@@ -125,8 +125,8 @@ def build_potential(v: np.ndarray, dets: list[Detection], variant: Variant,
             "masks are enabled for this scene but some thing detection lacks one"
         )
 
-    planes: list[np.ndarray] = []
-    channels: list[ChannelInfo] = []
+    # Channels in detection order, skipping boxes that clip to nothing.
+    kept: list[tuple[int, Detection, tuple[slice, slice]]] = []
     warnings: list[str] = []
     for i, det in enumerate(dets):
         clipped = det.box.clipped(w, h)
@@ -136,29 +136,24 @@ def build_potential(v: np.ndarray, dets: list[Detection], variant: Variant,
                 f"box {det.box.as_tuple()} is empty after clipping to {w}x{h}"
             )
             continue
+        kept.append((i, det, (slice(clipped.y0, clipped.y1), slice(clipped.x0, clipped.x1))))
+
+    # Each region is written into its channel of one zeroed tensor.
+    psi = np.zeros((h, w, len(kept)), dtype=v.dtype if kept else DEFAULT_DTYPE)
+    channels: list[ChannelInfo] = []
+    for k, (i, det, sl) in enumerate(kept):
         is_thing = catalog.is_thing(det.class_id)
         score = 1.0 if variant is Variant.A else det.score
-        sl = (slice(clipped.y0, clipped.y1), slice(clipped.x0, clipped.x1))
         prob = v[sl[0], sl[1], det.class_id]
-        if is_thing and masks_enabled:
-            m = det.mask[sl]
-        else:
-            m = None
-        plane = np.zeros((h, w), dtype=v.dtype)
+        m = det.mask[sl] if is_thing and masks_enabled else None
         if variant is Variant.C:
             region = score * (prob + (m if m is not None else 0.0))
         else:  # A and B are multiplicative; absent mask is the identity
             region = score * (prob * m if m is not None else prob)
-        plane[sl] = region
-        planes.append(plane)
+        psi[sl[0], sl[1], k] = region
         channels.append(ChannelInfo(
             kind="thing" if is_thing else "stuff",
             class_id=det.class_id,
             detection_index=i,
         ))
-
-    if planes:
-        psi = np.stack(planes, axis=2)
-    else:
-        psi = np.zeros((h, w, 0), dtype=DEFAULT_DTYPE)
     return DynamicPotential(psi=psi, channels=channels, warnings=warnings)

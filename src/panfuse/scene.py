@@ -361,6 +361,9 @@ def _disjoint(a: Box, b: Box) -> bool:
 
 def _non_finite(name: str, t: np.ndarray) -> list[str]:
     """A violation naming the first pixel of ``t`` (h, w, c) with a NaN or inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(t.sum()):  # any NaN or inf makes the sum non-finite
+            return []
     bad = ~np.isfinite(t).all(axis=2)
     if not bad.any():
         return []
@@ -483,62 +486,158 @@ def save_scene(scene: SceneCues, path: str | Path,
     (root / _MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def load_scene(path: str | Path) -> tuple[SceneCues, GroundTruthPanoptic | None]:
-    """Read a scene directory; save -> load round-trips bit-exactly."""
+@dataclass
+class _SceneManifest:
+    """A checked scene manifest: everything but the tensor payloads."""
+
+    root: Path
+    catalog: ClassCatalog
+    shape: tuple[int, int]
+    semantic_probs: Path
+    features: Path
+    detections: list[Detection]  # masks not read; their files are in mask_files
+    mask_files: list[str | None]
+    gt_labels: Path | None
+    gt_segments: list[GtSegment]
+
+
+def _box(node: dict, source: Path, at: str) -> Box:
+    coords = container.manifest_value(node, "box", list, source, at)
+    if len(coords) != 4 or any(type(x) is not int for x in coords):
+        raise FormatError(f"{source}: key {at}.box must be a list of 4 integers")
+    return Box(*coords)
+
+
+def _records(node: dict, key: str, source: Path, at: str = "") -> list[tuple[dict, str]]:
+    """The objects of the list ``node[key]``, each with its key path."""
+    where = f"{at}.{key}" if at else key
+    records = []
+    for i, rec in enumerate(container.manifest_value(node, key, list, source, at)):
+        if not isinstance(rec, dict):
+            raise FormatError(f"{source}: key {where}[{i}] must be an object")
+        records.append((rec, f"{where}[{i}]"))
+    return records
+
+
+def _read_manifest(path: str | Path) -> _SceneManifest:
+    """Parse and check ``manifest.json``; shared by both scene loaders."""
     root = Path(path)
     mpath = root / _MANIFEST
-    if not mpath.is_file():
-        raise FormatError(f"no {_MANIFEST} in {root}")
-    try:
-        manifest = json.loads(mpath.read_text())
-    except json.JSONDecodeError as e:
-        raise FormatError(f"unparseable manifest in {root}: {e}") from e
-    if manifest.get("format") != "panfuse-scene":
-        raise FormatError(f"{mpath} is not a scene manifest")
-    cat = manifest["catalog"]
-    catalog = ClassCatalog(cat["n_stuff"], cat["n_thing"],
-                           tuple(cat["names"]) if cat.get("names") else None)
-    shape = (manifest["shape"]["height"], manifest["shape"]["width"])
+    value = container.manifest_value
+    manifest = container.read_manifest(mpath, "panfuse-scene", "a scene")
 
-    v = container.read_tensor(root / manifest["tensors"]["semantic_probs"])
-    features = container.read_tensor(root / manifest["tensors"]["features"])
-    _check_shape(v, shape, catalog.n_classes, "semantic_probs")
-    if features.shape[:2] != shape:
+    cat = value(manifest, "catalog", dict, mpath)
+    names = value(cat, "names", list, mpath, "catalog", optional=True)
+    if names and any(type(n) is not str for n in names):
+        raise FormatError(f"{mpath}: key catalog.names must be a list of strings")
+    catalog = ClassCatalog(value(cat, "n_stuff", int, mpath, "catalog"),
+                           value(cat, "n_thing", int, mpath, "catalog"),
+                           tuple(names) if names else None)
+    grid = value(manifest, "shape", dict, mpath)
+    shape = (value(grid, "height", int, mpath, "shape"),
+             value(grid, "width", int, mpath, "shape"))
+    tensors = value(manifest, "tensors", dict, mpath)
+
+    detections, mask_files = [], []
+    for rec, at in _records(manifest, "detections", mpath):
+        mask = value(rec, "mask", str, mpath, at, optional=True)
+        mask_files.append(mask or None)
+        detections.append(Detection(box=_box(rec, mpath, at),
+                                    score=value(rec, "score", float, mpath, at),
+                                    class_id=value(rec, "class_id", int, mpath, at)))
+
+    gt_labels, gt_segments = None, []
+    g = value(manifest, "ground_truth", dict, mpath, optional=True)
+    if g:
+        gt_labels = root / value(g, "label_map", str, mpath, "ground_truth")
+        gt_segments = [GtSegment(value(s, "index", int, mpath, at),
+                                 value(s, "class_id", int, mpath, at),
+                                 _box(s, mpath, at),
+                                 value(s, "area", int, mpath, at))
+                       for s, at in _records(g, "segments", mpath, "ground_truth")]
+    return _SceneManifest(
+        root=root, catalog=catalog, shape=shape,
+        semantic_probs=root / value(tensors, "semantic_probs", str, mpath, "tensors"),
+        features=root / value(tensors, "features", str, mpath, "tensors"),
+        detections=detections, mask_files=mask_files,
+        gt_labels=gt_labels, gt_segments=gt_segments,
+    )
+
+
+def _read_cues(m: _SceneManifest, read) -> tuple:
+    """Semantic probabilities, features and masks, checked against the manifest.
+
+    ``read`` is ``container.read_tensor``, or ``container.read_header`` to
+    make the same checks without reading any payload.
+    """
+    v = read(m.semantic_probs)
+    features = read(m.features)
+    _check_shape(v, m.shape, m.catalog.n_classes, "semantic_probs")
+    if features.shape[:2] != m.shape:
         raise FormatError(
-            f"features grid {features.shape[:2]} does not match manifest {shape}"
+            f"features grid {features.shape[:2]} does not match manifest {m.shape}"
         )
-
-    detections = []
-    for i, rec in enumerate(manifest["detections"]):
+    if len(features.shape) != 3:
+        raise FormatError(f"features has shape {features.shape}, expected rank 3")
+    masks = []
+    for mask_file in m.mask_files:
         mask = None
-        if rec.get("mask"):
-            mask = container.read_tensor(root / rec["mask"])
-            if mask.shape != shape:
+        if mask_file is not None:
+            mask = read(m.root / mask_file)
+            if mask.shape != m.shape:
                 raise FormatError(
-                    f"mask {rec['mask']} shape {mask.shape} does not match manifest {shape}"
+                    f"mask {mask_file} shape {mask.shape} does not match manifest {m.shape}"
                 )
-        detections.append(Detection(box=Box(*rec["box"]), score=rec["score"],
-                                    class_id=rec["class_id"], mask=mask))
-    scene = SceneCues(catalog=catalog, semantic_probs=v,
-                      detections=detections, features=features)
-
-    gt = None
-    if manifest.get("ground_truth"):
-        g = manifest["ground_truth"]
-        u32 = container.read_tensor(root / g["label_map"])
-        if u32.shape != shape:
-            raise FormatError(
-                f"ground-truth grid {u32.shape} does not match manifest {shape}"
-            )
-        label = np.where(u32 == _LABEL_SENTINEL_U32, IGNORE, u32).astype(np.int32)
-        segments = [GtSegment(s["index"], s["class_id"], Box(*s["box"]), s["area"])
-                    for s in g["segments"]]
-        gt = GroundTruthPanoptic(label_map=label, segments=segments)
-    return scene, gt
+        masks.append(mask)
+    return v, features, masks
 
 
-def _check_shape(t: np.ndarray, grid: tuple[int, int], channels: int, name: str) -> None:
-    if t.ndim != 3 or t.shape[:2] != grid or t.shape[2] != channels:
+def _read_ground_truth(m: _SceneManifest) -> GroundTruthPanoptic | None:
+    if m.gt_labels is None:
+        return None
+    u32 = container.read_tensor(m.gt_labels)
+    if u32.shape != m.shape:
+        raise FormatError(
+            f"ground-truth grid {u32.shape} does not match manifest {m.shape}"
+        )
+    label = np.where(u32 == _LABEL_SENTINEL_U32, IGNORE, u32).astype(np.int32)
+    return GroundTruthPanoptic(label_map=label, segments=m.gt_segments)
+
+
+def load_scene(path: str | Path) -> tuple[SceneCues, GroundTruthPanoptic | None]:
+    """Read a scene directory; save -> load round-trips bit-exactly.
+
+    Non-finite cue values are rejected here, at the first bad pixel.
+    """
+    m = _read_manifest(path)
+    v, features, masks = _read_cues(m, container.read_tensor)
+    cues = [(m.semantic_probs, v), (m.features, features)]
+    cues += [(m.root / f, mask[..., None]) for f, mask in zip(m.mask_files, masks) if f]
+    for file, t in cues:
+        for violation in _non_finite(str(file), t):
+            raise FormatError(violation)
+    for det, mask in zip(m.detections, masks):
+        det.mask = mask
+    scene = SceneCues(catalog=m.catalog, semantic_probs=v,
+                      detections=m.detections, features=features)
+    return scene, _read_ground_truth(m)
+
+
+def load_scene_records(path: str | Path
+                       ) -> tuple[ClassCatalog, list[Detection], GroundTruthPanoptic | None]:
+    """What scoring a scene needs: its catalog, detections and ground truth.
+
+    The cue tensors get the header, size and shape checks of ``load_scene``
+    but their payloads are not read, so the detections carry no masks.
+    """
+    m = _read_manifest(path)
+    _read_cues(m, container.read_header)
+    return m.catalog, m.detections, _read_ground_truth(m)
+
+
+def _check_shape(t, grid: tuple[int, int], channels: int, name: str) -> None:
+    """``t`` is an array or a ``container.TensorHeader``."""
+    if len(t.shape) != 3 or t.shape[:2] != grid or t.shape[2] != channels:
         raise FormatError(
             f"{name} has shape {t.shape}, manifest expects {grid + (channels,)}"
         )

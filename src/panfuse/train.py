@@ -285,18 +285,21 @@ def train_toy(cfg: TrainConfig) -> TrainingReport:
                                  scale=cfg.param_scale)
     losses: list[float] = []
     buffers: dict = {}
+    # Without the affinity head no parameter enters the loss, so each pool
+    # scene's loss is computed once and repeated at every visit.
+    fixed_losses = None if cfg.use_affinity else [
+        training_loss(b, params, use_affinity=False)[0] for b in pool[:cfg.steps]]
     for step in range(cfg.steps):
-        bundle = pool[step % len(pool)]
-        if not cfg.use_affinity:
-            loss, _ = training_loss(bundle, params, use_affinity=False)
-            if not np.isfinite(loss):
-                raise NumericError(f"loss diverged at step {step}")
-            losses.append(loss)
-            continue
-        loss, d_w0, d_b0, d_w1, d_b1 = loss_and_grads(bundle, params, buffers)
+        if fixed_losses is not None:
+            loss = fixed_losses[step % len(pool)]
+        else:
+            loss, d_w0, d_b0, d_w1, d_b1 = loss_and_grads(pool[step % len(pool)], params,
+                                                          buffers)
         if not np.isfinite(loss):
             raise NumericError(f"loss diverged at step {step}")
         losses.append(loss)
+        if fixed_losses is not None:
+            continue
         lr = cfg.learning_rate
         params = AffinityParams(
             w0=params.w0 - lr * d_w0,

@@ -10,7 +10,8 @@ from panfuse.affinity import (
     estimate_costs,
     project_features,
 )
-from panfuse.errors import CapacityError, DimensionError
+from panfuse.container import write_tensor
+from panfuse.errors import CapacityError, DimensionError, FormatError
 
 
 def random_params(c, seed, scale=1.0):
@@ -269,3 +270,56 @@ def test_params_roundtrip(tmp_path):
     back = AffinityParams.load(tmp_path / "ckpt")
     for name in ("w0", "b0", "w1", "b1"):
         assert np.array_equal(getattr(params, name), getattr(back, name))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_factored_applier_and_projection_equal_plain_expressions(dtype):
+    rng = np.random.default_rng(11)
+    params = random_params(6, seed=2)
+    q = rng.normal(size=(9, 7, 6)).astype(dtype)
+    psi = rng.random((9, 7, 5)).astype(dtype)
+    q0, q1 = project_features(q, params)
+    flat = q.reshape(-1, 6)
+    assert np.array_equal(q0.reshape(-1, 6), np.maximum(flat @ params.w0 + params.b0, 0.0))
+    assert np.array_equal(q1.reshape(-1, 6), np.maximum(flat @ params.w1 + params.b1, 0.0))
+    out = apply_affinity_factored(psi, q0, q1)
+    psi_m = psi.reshape(-1, 5)
+    expected = psi_m + q0.reshape(-1, 6) @ (q1.reshape(-1, 6).T @ psi_m)
+    assert out.dtype == expected.dtype
+    assert out.reshape(-1, 5).tobytes() == expected.tobytes()
+
+
+def _checkpoint(tmp_path):
+    root = tmp_path / "ckpt"
+    random_params(4, seed=1).save(root)
+    return root, root / "params.json"
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ("[]", "{mpath}: expected a JSON object, got a list"),
+    ('{"format": "panfuse-affinity-params"', "unparseable manifest in {root}"),
+    ('{"format": "panfuse-scene"}', "{mpath} is not an affinity-params manifest"),
+    ('{"format": "panfuse-affinity-params"}', "{mpath}: missing key tensors"),
+    ('{"format": "panfuse-affinity-params", "tensors": ["w0.panc"]}',
+     "{mpath}: key tensors must be an object, got a list"),
+    ('{"format": "panfuse-affinity-params", "tensors": {"w0": "w0.panc"}}',
+     "{mpath}: missing key tensors.b0"),
+    ('{"format": "panfuse-affinity-params", "tensors": {"w0": 1}}',
+     "{mpath}: key tensors.w0 must be a string, got an integer"),
+])
+def test_params_load_schema_errors(tmp_path, manifest, message):
+    root, mpath = _checkpoint(tmp_path)
+    mpath.write_text(manifest)
+    with pytest.raises(FormatError) as exc:
+        AffinityParams.load(root)
+    assert message.format(mpath=mpath, root=root) in str(exc.value)
+
+
+def test_params_load_rejects_wrong_rank_and_missing_file(tmp_path):
+    root, _ = _checkpoint(tmp_path)
+    write_tensor(root / "b1.panc", np.zeros((4, 1)))
+    with pytest.raises(FormatError, match=r"b1.panc: b1 has shape \(4, 1\), expected rank 1"):
+        AffinityParams.load(root)
+    (root / "w0.panc").unlink()
+    with pytest.raises(FormatError, match="w0.panc"):
+        AffinityParams.load(root)

@@ -170,3 +170,89 @@ def test_costs_full_scale_configuration(capsys):
 
 def test_unknown_command_usage():
     assert run_cli("frobnicate") == 2
+
+
+@pytest.fixture
+def masked_scene_and_pred(tmp_path):
+    scene_dir = tmp_path / "scene"
+    assert run_cli(*synth_args(scene_dir, extra=["--with-masks", "--instances", "4"])) == 0
+    pred = tmp_path / "pred"
+    assert run_cli("run", "--scene", str(scene_dir), "--out", str(pred)) == 0
+    return scene_dir, pred
+
+
+def test_missing_tensor_file_exits_3_naming_it(tmp_path, capsys, masked_scene_and_pred):
+    scene_dir, pred = masked_scene_and_pred
+    (scene_dir / "mask_001.panc").unlink()
+    capsys.readouterr()
+    out = tmp_path / "again"
+    assert run_cli("run", "--scene", str(scene_dir), "--out", str(out)) == 3
+    assert str(scene_dir / "mask_001.panc") in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli("eval", "--scene", str(scene_dir), "--pred", str(pred)) == 3
+    assert str(scene_dir / "mask_001.panc") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["semantic_probs.panc", "features.panc", "mask_000.panc"])
+def test_eval_rejects_damaged_cue_file_like_run(tmp_path, capsys, masked_scene_and_pred, name):
+    scene_dir, pred = masked_scene_and_pred
+    path = scene_dir / name
+    path.write_bytes(path.read_bytes() + b"\x00")
+    capsys.readouterr()
+    assert run_cli("run", "--scene", str(scene_dir), "--out", str(tmp_path / "again")) == 3
+    run_err = capsys.readouterr().err
+    assert run_cli("eval", "--scene", str(scene_dir), "--pred", str(pred)) == 3
+    assert capsys.readouterr().err == run_err
+    assert "payload size mismatch" in run_err and str(path) in run_err
+
+
+def test_run_on_non_finite_scene_exits_3_without_output(tmp_path, capsys):
+    scene_dir = tmp_path / "scene"
+    assert run_cli(*synth_args(scene_dir, seed=1)) == 0
+    path = scene_dir / "semantic_probs.panc"
+    v = container.read_tensor(path)
+    v[0, 0, 0] = np.nan
+    container.write_tensor(path, v)
+    out = tmp_path / "pred"
+    assert run_cli("run", "--scene", str(scene_dir), "--out", str(out)) == 3
+    assert f"{path}: non-finite value at pixel (0, 0)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_and_eval_reject_malformed_manifest(tmp_path, capsys, masked_scene_and_pred):
+    scene_dir, pred = masked_scene_and_pred
+    mpath = scene_dir / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    del manifest["catalog"]
+    mpath.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("run", "--scene", str(scene_dir), "--out", str(tmp_path / "again")) == 3
+    assert f"{mpath}: missing key catalog" in capsys.readouterr().err
+    mpath.write_text("[1, 2]")
+    assert run_cli("eval", "--scene", str(scene_dir), "--pred", str(pred)) == 3
+    assert f"{mpath}: expected a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], ["--with-masks", "--jitter", "1.5"]])
+def test_eval_one_with_scene_records_equals_full_load(tmp_path, monkeypatch, extra):
+    from panfuse import cli
+
+    scene_dir = tmp_path / "scene"
+    assert run_cli(*synth_args(scene_dir, seed=8,
+                               extra=["--instances", "5", "--truncation", "0.3", *extra])) == 0
+    pred = tmp_path / "pred"
+    assert run_cli("run", "--scene", str(scene_dir), "--out", str(pred)) == 0
+    light = cli._eval_one(str(scene_dir), str(pred))
+
+    def full_records(path):
+        scene, gt = load_scene(path)
+        return scene.catalog, scene.detections, gt
+
+    monkeypatch.setattr(cli, "load_scene_records", full_records)
+    full = cli._eval_one(str(scene_dir), str(pred))
+    catalog, stats, pred_classes, gt_classes, confusion, ap = light
+    assert catalog == full[0]
+    assert stats.per_class == full[1].per_class
+    assert np.array_equal(pred_classes, full[2]) and np.array_equal(gt_classes, full[3])
+    assert np.array_equal(confusion.counts, full[4].counts)
+    assert ap == full[5]

@@ -3,6 +3,7 @@ import pytest
 
 from panfuse.inference import PanopticMap, Segment, panoptic_from_ground_truth, trim_small_stuff
 from panfuse.metrics import (
+    AP_IOU_THRESHOLDS,
     PQStats,
     box_average_precision,
     mean_iou,
@@ -236,3 +237,63 @@ def test_ap_missed_gt_halves_recall():
     dets = [Detection(Box(0, 0, 4, 4), 0.9, 1)]
     # One of two gt boxes found at IoU 1: AP = 0.5 at every threshold.
     assert np.isclose(box_average_precision(dets, gt_boxes), 0.5)
+
+
+def per_threshold_ap(dets, gt_boxes):
+    """Box AP recomputing every IoU at every threshold."""
+    from panfuse.matching import box_iou
+
+    classes = sorted({cid for cid, _ in gt_boxes})
+    if not classes:
+        return 0.0
+    values = []
+    for cid in classes:
+        gts = [b for c, b in gt_boxes if c == cid]
+        ranked = sorted([(d.score, i, d.box) for i, d in enumerate(dets) if d.class_id == cid],
+                        key=lambda item: (-item[0], item[1]))
+        for threshold in AP_IOU_THRESHOLDS:
+            if not ranked:
+                values.append(0.0)
+                continue
+            taken = [False] * len(gts)
+            flags = []
+            for _, _, box in ranked:
+                best_iou, best_j = 0.0, -1
+                for j, gtb in enumerate(gts):
+                    if not taken[j] and box_iou(box, gtb) > best_iou:
+                        best_iou, best_j = box_iou(box, gtb), j
+                hit = best_j >= 0 and best_iou >= threshold
+                if hit:
+                    taken[best_j] = True
+                flags.append(1.0 if hit else 0.0)
+            tp = np.cumsum(flags)
+            fp = np.cumsum(1.0 - np.asarray(flags))
+            recall = tp / len(gts)
+            envelope = np.maximum.accumulate((tp / np.maximum(tp + fp, 1e-12))[::-1])[::-1]
+            ap, prev_r = 0.0, 0.0
+            for r, p in zip(recall, envelope):
+                ap += (r - prev_r) * p
+                prev_r = r
+            values.append(ap)
+    return float(np.mean(values))
+
+
+def random_box(rng, size=40):
+    x0, y0 = (int(t) for t in rng.integers(0, size - 2, size=2))
+    return Box(x0, y0, x0 + int(rng.integers(1, 16)), y0 + int(rng.integers(1, 16)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ap_equals_per_threshold_reference(seed):
+    rng = np.random.default_rng(seed)
+    gt_boxes = [(int(rng.integers(3, 6)), random_box(rng)) for _ in range(rng.integers(0, 12))]
+    dets = []
+    for c, b in gt_boxes:  # near-duplicates of the ground truth, at varied overlap
+        for _ in range(rng.integers(0, 3)):
+            dx0, dy0, dx1, dy1 = (int(t) for t in rng.integers(-1, 2, size=4))
+            x0, y0 = max(0, b.x0 + dx0), max(0, b.y0 + dy0)
+            box = Box(x0, y0, max(x0 + 1, b.x1 + dx1), max(y0 + 1, b.y1 + dy1))
+            dets.append(Detection(box, float(rng.random()), c))
+    dets += [Detection(random_box(rng), float(rng.choice([0.5, rng.random()])),
+                       int(rng.integers(3, 7))) for _ in range(rng.integers(0, 8))]
+    assert box_average_precision(dets, gt_boxes) == per_threshold_ap(dets, gt_boxes)

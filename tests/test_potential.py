@@ -168,3 +168,67 @@ def test_without_detections_removes_channels():
     assert trimmed.n_channels == 2
     assert [c.detection_index for c in trimmed.channels] == [0, 1]
     assert np.array_equal(trimmed.psi, pot.psi[:, :, [0, 1]])
+
+
+def planes_reference(v, dets, variant, catalog):
+    """One zeroed (h, w) plane per kept detection, stacked at the end."""
+    h, w, _ = v.shape
+    masks_enabled = any(d.mask is not None for d in dets if catalog.is_thing(d.class_id))
+    planes, kept, warnings = [], [], []
+    for i, d in enumerate(dets):
+        clipped = d.box.clipped(w, h)
+        if clipped is None:
+            warnings.append(
+                f"detection {i} (class {d.class_id}) dropped: "
+                f"box {d.box.as_tuple()} is empty after clipping to {w}x{h}"
+            )
+            continue
+        score = 1.0 if variant is Variant.A else d.score
+        sl = (slice(clipped.y0, clipped.y1), slice(clipped.x0, clipped.x1))
+        prob = v[sl[0], sl[1], d.class_id]
+        m = d.mask[sl] if catalog.is_thing(d.class_id) and masks_enabled else None
+        plane = np.zeros((h, w), dtype=v.dtype)
+        if variant is Variant.C:
+            plane[sl] = score * (prob + (m if m is not None else 0.0))
+        else:
+            plane[sl] = score * (prob * m if m is not None else prob)
+        planes.append(plane)
+        kept.append((d.class_id, i))
+    psi = np.stack(planes, axis=2) if planes else np.zeros((h, w, 0))
+    return psi, kept, warnings
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("masks", [False, True])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_build_potential_equals_planes_reference(variant, masks, dtype):
+    cfg = SynthConfig(height=24, width=20, n_instances=4, instance_min=4, instance_max=7,
+                      with_masks=masks, mask_noise=0.2 if masks else 0.0,
+                      box_truncation=0.2, box_jitter=1.0, confusion_rate=0.3)
+    scene, _ = synth_scene(cfg, seed=3)
+    v = scene.semantic_probs.astype(dtype)
+    things = list(scene.detections)
+    # A box wholly outside the grid is dropped with a warning; one that
+    # overhangs the grid is clipped.
+    outside_mask = np.zeros((24, 20)) if masks else None
+    things.insert(1, det(Box(25, 30, 28, 33), 0.9, 4, outside_mask))
+    things.append(det(Box(15, 18, 26, 29), 0.7, 5, np.ones((24, 20)) if masks else None))
+    dets = append_stuff_boxes(things, scene.catalog, 24, 20)
+    got = build_potential(v, dets, variant, scene.catalog)
+    psi, kept, warnings = planes_reference(v, dets, variant, scene.catalog)
+    assert got.psi.dtype == psi.dtype and got.psi.shape == psi.shape
+    assert got.psi.tobytes() == psi.tobytes()
+    assert got.psi.flags.c_contiguous
+    assert [(c.class_id, c.detection_index) for c in got.channels] == kept
+    assert got.warnings == warnings and len(warnings) == 1
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_build_potential_zero_channels(dtype):
+    catalog = ClassCatalog(n_stuff=1, n_thing=1)
+    v = np.full((4, 5, 2), 0.5, dtype=dtype)
+    got = build_potential(v, [det(Box(6, 0, 8, 2), 0.9, 1)], Variant.B, catalog)
+    psi, _, warnings = planes_reference(v, [det(Box(6, 0, 8, 2), 0.9, 1)], Variant.B, catalog)
+    assert got.psi.shape == psi.shape == (4, 5, 0)
+    assert got.psi.dtype == psi.dtype == np.float64
+    assert got.channels == [] and got.warnings == warnings

@@ -1,14 +1,16 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from panfuse.container import read_tensor, write_tensor
+from panfuse.container import TensorHeader, read_header, read_tensor, write_tensor
 from panfuse.errors import FormatError, GenerationError
 from panfuse.scene import (
     Box,
     SynthConfig,
     load_scene,
+    load_scene_records,
     save_scene,
     synth_scene,
     tight_box,
@@ -191,3 +193,180 @@ def test_manifest_shape_mismatch(tmp_path):
     write_tensor(tmp_path / "scene" / "semantic_probs.panc", bigger)
     with pytest.raises(FormatError, match="shape"):
         load_scene(tmp_path / "scene")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint32])
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5), (4, 3, 2)])
+def test_tensor_roundtrip_every_rank(tmp_path, dtype, shape):
+    rng = np.random.default_rng(len(shape))
+    if dtype is np.uint32:
+        arr = rng.integers(0, 2**32, size=shape, dtype=np.uint32)
+    else:
+        arr = np.asarray(rng.normal(size=shape), dtype=dtype)
+    path = tmp_path / "x.panc"
+    write_tensor(path, arr)
+    back = read_tensor(path)
+    assert back.dtype == arr.dtype and back.shape == arr.shape
+    assert back.tobytes() == arr.tobytes()
+    assert back.flags.writeable and back.flags.c_contiguous
+    assert read_header(path) == TensorHeader(dtype=arr.dtype, shape=shape)
+    assert path.stat().st_size == 8 + 4 * len(shape) + arr.nbytes
+
+
+def _panc(dtype_code=1, dims=(2, 3), version=1, payload=None, magic=b"PANC"):
+    header = magic + struct.pack("<HBB", version, dtype_code, len(dims))
+    header += struct.pack(f"<{len(dims)}I", *dims)
+    if payload is None:
+        payload = bytes(8 * int(np.prod(dims)))
+    return header + payload
+
+
+@pytest.mark.parametrize("data, message, offset", [
+    (b"PAN", "bad magic", 0),
+    (b"XXXX" + bytes(16), "bad magic", 0),
+    (b"PANC\x01\x00", "truncated header", 6),
+    (_panc(version=2), "unsupported version 2", 4),
+    (_panc(dtype_code=7), "unknown dtype code 7", 6),
+    (_panc()[:10], "truncated dims", 10),
+    (_panc(dims=(2, 0), payload=b""), "zero-sized dim (2, 0)", 8),
+    (_panc()[:-1], "payload size mismatch in {path}: expected 64 bytes, got 63", 63),
+    (_panc() + b"\x00", "payload size mismatch in {path}: expected 64 bytes, got 65", 64),
+])
+def test_tensor_damage_reported_by_both_readers(tmp_path, data, message, offset):
+    path = tmp_path / "d.panc"
+    path.write_bytes(data)
+    for reader in (read_tensor, read_header):
+        with pytest.raises(FormatError) as exc:
+            reader(path)
+        assert message.format(path=path) in str(exc.value)
+        assert str(path) in str(exc.value)
+        assert exc.value.offset == offset
+
+
+def test_missing_tensor_file_is_a_format_error(tmp_path):
+    for reader in (read_tensor, read_header):
+        with pytest.raises(FormatError, match="nope.panc"):
+            reader(tmp_path / "nope.panc")
+
+
+@pytest.fixture
+def saved_scene(tmp_path):
+    cfg = SynthConfig(with_masks=True, box_truncation=0.2)
+    scene, gt = synth_scene(cfg, seed=12)
+    save_scene(scene, tmp_path / "scene", gt=gt, synth=cfg)
+    return tmp_path / "scene"
+
+
+def _edit_manifest(scene_dir, edit):
+    path = scene_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest = edit(manifest)
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+def _set(keys, value):
+    def edit(manifest):
+        node = manifest
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        return manifest
+    return edit
+
+
+def _delete(key):
+    def edit(manifest):
+        del manifest[key]
+        return manifest
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: [1, 2], "expected a JSON object, got a list"),
+    (_delete("catalog"), "missing key catalog"),
+    (_set(["catalog"], [3, 3]), "key catalog must be an object, got a list"),
+    (_set(["catalog", "n_stuff"], "3"), "key catalog.n_stuff must be an integer, got a string"),
+    (_set(["catalog", "n_thing"], True), "key catalog.n_thing must be an integer, got a boolean"),
+    (_set(["catalog", "names"], [1, 2, 3, 4, 5, 6]), "key catalog.names must be a list of strings"),
+    (_delete("shape"), "missing key shape"),
+    (_set(["shape", "width"], 32.0), "key shape.width must be an integer, got a number"),
+    (_delete("tensors"), "missing key tensors"),
+    (_set(["tensors", "features"], None), "key tensors.features must be a string, got null"),
+    (_delete("detections"), "missing key detections"),
+    (_set(["detections"], {}), "key detections must be a list, got an object"),
+    (_set(["detections", 0], 3), "key detections[0] must be an object"),
+    (_set(["detections", 1, "box"], [1, 2, 3]), "key detections[1].box must be a list of 4 integers"),
+    (_set(["detections", 2, "score"], "high"), "key detections[2].score must be a number, got a string"),
+    (_set(["detections", 0, "mask"], 5), "key detections[0].mask must be a string, got an integer"),
+    (_set(["ground_truth", "segments", 1, "area"], 2.5),
+     "key ground_truth.segments[1].area must be an integer, got a number"),
+    (_set(["ground_truth"], "gt_labels.panc"), "key ground_truth must be an object, got a string"),
+])
+def test_manifest_schema_errors_name_file_and_key(saved_scene, edit, message):
+    mpath = _edit_manifest(saved_scene, edit)
+    for loader in (load_scene, load_scene_records):
+        with pytest.raises(FormatError) as exc:
+            loader(saved_scene)
+        assert str(exc.value) == f"{mpath}: {message}"
+
+
+def test_manifest_without_ground_truth_or_mask_keys_loads(saved_scene):
+    def edit(manifest):
+        del manifest["ground_truth"]
+        for rec in manifest["detections"]:
+            del rec["mask"]
+        return manifest
+    _edit_manifest(saved_scene, edit)
+    scene, gt = load_scene(saved_scene)
+    assert gt is None and all(d.mask is None for d in scene.detections)
+
+
+@pytest.mark.parametrize("name, pixel", [("semantic_probs", (3, 4)), ("features", (0, 9))])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_load_rejects_non_finite_cues(saved_scene, name, pixel, value):
+    path = saved_scene / f"{name}.panc"
+    t = read_tensor(path)
+    t[pixel + (1,)] = value
+    t[20, 0, 0] = value
+    write_tensor(path, t)
+    with pytest.raises(FormatError) as exc:
+        load_scene(saved_scene)
+    assert str(exc.value) == f"{path}: non-finite value at pixel {pixel}"
+
+
+def test_load_rejects_non_finite_mask(saved_scene):
+    path = saved_scene / "mask_001.panc"
+    mask = read_tensor(path)
+    mask[5, 6] = np.nan
+    write_tensor(path, mask)
+    with pytest.raises(FormatError, match=r"mask_001.panc: non-finite value at pixel \(5, 6\)"):
+        load_scene(saved_scene)
+
+
+def test_scene_records_match_full_load(saved_scene):
+    scene, gt = load_scene(saved_scene)
+    catalog, detections, gt_records = load_scene_records(saved_scene)
+    assert catalog == scene.catalog
+    assert [(d.box, d.score, d.class_id) for d in detections] == [
+        (d.box, d.score, d.class_id) for d in scene.detections]
+    assert all(d.mask is None for d in detections)
+    assert np.array_equal(gt_records.label_map, gt.label_map)
+    assert gt_records.segments == gt.segments
+
+
+@pytest.mark.parametrize("damage", ["truncate", "missing", "reshape"])
+@pytest.mark.parametrize("name", ["semantic_probs.panc", "features.panc", "mask_002.panc"])
+def test_scene_records_check_cue_files_like_full_load(saved_scene, damage, name):
+    path = saved_scene / name
+    if damage == "truncate":
+        path.write_bytes(path.read_bytes()[:-8])
+    elif damage == "missing":
+        path.unlink()
+    else:
+        write_tensor(path, read_tensor(path)[:-1])
+    with pytest.raises(FormatError) as full:
+        load_scene(saved_scene)
+    with pytest.raises(FormatError) as records:
+        load_scene_records(saved_scene)
+    assert str(records.value) == str(full.value)

@@ -223,3 +223,17 @@ def test_train_toy_matches_reference_loop():
     assert report.loss_curve == losses
     for name in ("w0", "b0", "w1", "b1"):
         assert (getattr(report.params, name) == getattr(params, name)).all()
+
+
+def test_train_toy_without_affinity_matches_training_loss_loop():
+    cfg = TrainConfig(steps=37, seed=2, scenes=8, eval_scenes=1, scene=POOL_SCENE,
+                      match_threshold=0.4, use_affinity=False)
+    report = train_toy(cfg)
+    pool = make_pool(cfg)
+    params = AffinityParams.init(cfg.scene.feature_dim, seed=cfg.seed, scale=cfg.param_scale)
+    losses = [training_loss(pool[step % len(pool)], params, use_affinity=False)[0]
+              for step in range(cfg.steps)]
+    assert report.loss_curve == losses
+    assert len(set(losses)) > 1
+    short = train_toy(replace(cfg, steps=3))  # fewer steps than pool scenes
+    assert short.loss_curve == losses[:3]
