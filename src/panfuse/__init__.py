@@ -54,7 +54,7 @@ from .metrics import (
     panoptic_quality,
     thing_stuff_confusion,
 )
-from .numerics import IGNORE, VOID, argmax_channels, matmul, softmax_channels
+from .numerics import IGNORE, VOID, argmax_channels, softmax_channels
 from .potential import (
     ChannelInfo,
     DynamicPotential,

@@ -169,39 +169,18 @@ def _check_applier_shapes(psi: np.ndarray, q0: np.ndarray, q1: np.ndarray):
     return psi, q0, q1
 
 
-def apply_affinity_factored(psi: np.ndarray, q0: np.ndarray, q1: np.ndarray,
-                            row_parallel: bool = False) -> np.ndarray:
-    """Residual affinity aggregation in linear pixel complexity.
-
-    ``row_parallel=True`` computes the same result from per-row partial
-    products combined by a fixed pairwise reduction, so row blocks can be
-    farmed out without changing the answer beyond 1e-12.
-    """
+def apply_affinity_factored(psi: np.ndarray, q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
+    """Residual affinity aggregation in linear pixel complexity."""
     psi, q0, q1 = _check_applier_shapes(psi, q0, q1)
     h, w, k = psi.shape
     c = q0.shape[2]
     psi_m = psi.reshape(-1, k)
     q0_m = q0.reshape(-1, c)
     q1_m = q1.reshape(-1, c)
-    if not row_parallel:
-        inner = q1_m.T @ psi_m  # (c, k): the only intermediate
-        out = q0_m @ inner
-        out += psi_m  # in place: same sum as psi_m + out, one (pixels, k) array fewer
-        return out.reshape(h, w, k)
-    partials = [q1[r].T @ psi[r] for r in range(h)]
-    inner = _pairwise_sum(partials)
-    out = np.empty_like(psi)
-    for r in range(h):
-        out[r] = psi[r] + q0[r] @ inner
-    return out
-
-
-def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
-    """Deterministic pairwise tree reduction (independent of chunking)."""
-    while len(terms) > 1:
-        terms = [terms[i] + terms[i + 1] if i + 1 < len(terms) else terms[i]
-                 for i in range(0, len(terms), 2)]
-    return terms[0]
+    inner = q1_m.T @ psi_m  # (c, k): the only intermediate
+    out = q0_m @ inner
+    out += psi_m  # in place: same sum as psi_m + out, one (pixels, k) array fewer
+    return out.reshape(h, w, k)
 
 
 def apply_affinity_naive(psi: np.ndarray, q0: np.ndarray, q1: np.ndarray) -> np.ndarray:

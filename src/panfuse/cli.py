@@ -19,14 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .affinity import AffinityParams, affinity_map_for_pixel, apply_affinity_factored, estimate_costs, project_features
+from .affinity import AffinityParams, affinity_map_for_pixel, estimate_costs, project_features
 from .errors import CapacityError, CueError, DimensionError, FormatError, GenerationError, NumericError, PanfuseError
-from .inference import MergerParams, heuristic_merge, infer_panoptic, load_panoptic, panoptic_from_ground_truth, save_panoptic, trim_small_stuff
+from .inference import MergerParams, heuristic_merge, load_panoptic, panoptic_from_ground_truth, save_panoptic, trim_small_stuff
 from .matching import boxes_from_segments, match_segments
 from .metrics import ConfusionTS, PQStats, box_average_precision, mean_iou, thing_stuff_confusion
-from .potential import Variant, append_stuff_boxes, build_potential, filter_by_score
+from .potential import Variant, append_stuff_boxes
 from .scene import SynthConfig, load_scene, load_scene_records, save_scene, synth_scene, validate_scene
-from .train import TrainConfig, ablate, render_ablation_table, train_toy
+from .train import TrainConfig, ablate, predict_panoptic, render_ablation_table, train_toy
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -107,7 +107,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def _run_one(args: argparse.Namespace, scene_path: str, out_path: str,
              params: AffinityParams | None) -> dict:
     scene, gt = load_scene(scene_path)
-    variant = Variant(args.variant)
     # Checked before anything is written, so a failure leaves no output.
     if args.dump_match and gt is None:
         raise CueError("--dump-match needs ground truth in the scene container")
@@ -128,14 +127,8 @@ def _run_one(args: argparse.Namespace, scene_path: str, out_path: str,
         pmap = heuristic_merge(scene.semantic_probs, scene.detections, merger,
                                scene.catalog)
     else:
-        dets = filter_by_score(scene.detections, args.score_threshold)
-        dets = append_stuff_boxes(dets, scene.catalog, scene.height, scene.width)
-        potential = build_potential(scene.semantic_probs, dets, variant, scene.catalog)
-        p = potential.psi
-        if params is not None:
-            q0, q1 = project_features(scene.features, params)
-            p = apply_affinity_factored(p, q0, q1)
-        pmap = infer_panoptic(p, potential.channels)
+        pmap, _ = predict_panoptic(scene, params, Variant(args.variant),
+                                   args.score_threshold)
 
     if args.trim > 0:
         pmap = trim_small_stuff(pmap, args.trim)
@@ -344,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="predicted")
     p.add_argument("--variant", choices=["A", "B", "C"], default="B")
     p.add_argument("--match-threshold", type=float, default=0.5)
-    p.add_argument("--scenes", type=int, default=64)
-    p.add_argument("--eval-scenes", type=int, default=6)
+    p.add_argument("--scenes", type=_positive_int, default=64)
+    p.add_argument("--eval-scenes", type=_positive_int, default=6)
     _add_synth_flags(p)
     p.set_defaults(func=cmd_train)
 

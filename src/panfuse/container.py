@@ -173,3 +173,15 @@ def manifest_value(node: dict, key: str, kind: type, source: Path, at: str = "",
     raise FormatError(
         f"{source}: key {where} must be {_KIND_NAMES[kind]}, got {_json_kind(value)}"
     )
+
+
+def manifest_records(node: dict, key: str, source: Path,
+                     at: str = "") -> list[tuple[dict, str]]:
+    """The objects of the list ``node[key]``, each with its key path."""
+    where = f"{at}.{key}" if at else key
+    records = []
+    for i, rec in enumerate(manifest_value(node, key, list, source, at)):
+        if not isinstance(rec, dict):
+            raise FormatError(f"{source}: key {where}[{i}] must be an object")
+        records.append((rec, f"{where}[{i}]"))
+    return records

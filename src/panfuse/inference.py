@@ -228,15 +228,19 @@ def save_panoptic(pmap: PanopticMap, path: str | Path) -> None:
 def load_panoptic(path: str | Path) -> PanopticMap:
     root = Path(path)
     spath = root / "segments.json"
-    if not spath.is_file():
-        raise FormatError(f"no segments.json in {root}")
-    sidecar = json.loads(spath.read_text())
-    if sidecar.get("format") != "panfuse-panoptic":
-        raise FormatError(f"{spath} is not a panoptic sidecar")
+    sidecar = container.read_manifest(spath, "panfuse-panoptic", "a panoptic")
+    value = container.manifest_value
+    segments = []
+    for i, (s, at) in enumerate(container.manifest_records(sidecar, "segments", spath)):
+        index = value(s, "index", int, spath, at)
+        if index != i:  # label maps index the segment list directly
+            raise FormatError(f"{spath}: key {at}.index must be {i}, got {index}")
+        segments.append(Segment(index=index,
+                                class_id=value(s, "class_id", int, spath, at),
+                                kind=value(s, "kind", str, spath, at),
+                                area=value(s, "area", int, spath, at),
+                                instance_id=value(s, "instance_id", int, spath, at)))
     grid = container.read_tensor(root / "panoptic.panc")
-    segments = [Segment(index=s["index"], class_id=s["class_id"], kind=s["kind"],
-                        area=s["area"], instance_id=s["instance_id"])
-                for s in sidecar["segments"]]
     decode = {s.encoded_id: s.index for s in segments}
     label = np.full(grid.shape, VOID, dtype=np.int32)
     for encoded, index in decode.items():

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionError, PanfuseError
 from .numerics import IGNORE, log_softmax_channels, require_tensor3, softmax_channels
@@ -86,6 +85,10 @@ def match_segments(gt: GroundTruthPanoptic, dets: list[Detection], t: float,
     entries infeasible. Stuff pseudo-detections pair with the (unique)
     ground-truth stuff segment of their class regardless of IoU.
     """
+    # Imported here: scipy takes most of the import time of the CLI, and
+    # `run` and `eval` without --dump-match never match.
+    from scipy.optimize import linear_sum_assignment
+
     if not (0.0 < t <= 1.0):
         raise PanfuseError(f"match threshold must be in (0, 1], got {t}")
     gt_things = [s for s in gt.segments if catalog.is_thing(s.class_id)]

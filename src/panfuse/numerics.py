@@ -38,27 +38,6 @@ def require_tensor3(t: np.ndarray, name: str = "tensor") -> np.ndarray:
     return t
 
 
-def require_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {m.shape}")
-    return m
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check.
-
-    Raises DimensionError naming both shapes on a mismatch.
-    """
-    a = require_matrix(a, "left operand")
-    b = require_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
 def softmax_channels(t: np.ndarray) -> np.ndarray:
     """Per-pixel softmax along the channel axis, with max subtraction."""
     t = require_tensor3(t)

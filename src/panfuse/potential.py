@@ -57,12 +57,6 @@ class DynamicPotential:
                 return k
         return None
 
-    def stuff_channel(self, class_id: int) -> int | None:
-        for k, info in enumerate(self.channels):
-            if info.kind == "stuff" and info.class_id == class_id:
-                return k
-        return None
-
     def without_detections(self, detection_indices) -> "DynamicPotential":
         """Drop the channels of the given detections (duplicate removal)."""
         drop = set(detection_indices)

@@ -148,9 +148,6 @@ class GroundTruthPanoptic:
     label_map: np.ndarray  # (h, w) int32
     segments: list[GtSegment]
 
-    def segment_classes(self) -> dict[int, int]:
-        return {s.index: s.class_id for s in self.segments}
-
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -196,10 +193,6 @@ class SynthConfig:
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
 
 
 def _truncate_box(box: Box, fraction: float) -> Box:
@@ -508,22 +501,11 @@ def _box(node: dict, source: Path, at: str) -> Box:
     return Box(*coords)
 
 
-def _records(node: dict, key: str, source: Path, at: str = "") -> list[tuple[dict, str]]:
-    """The objects of the list ``node[key]``, each with its key path."""
-    where = f"{at}.{key}" if at else key
-    records = []
-    for i, rec in enumerate(container.manifest_value(node, key, list, source, at)):
-        if not isinstance(rec, dict):
-            raise FormatError(f"{source}: key {where}[{i}] must be an object")
-        records.append((rec, f"{where}[{i}]"))
-    return records
-
-
 def _read_manifest(path: str | Path) -> _SceneManifest:
     """Parse and check ``manifest.json``; shared by both scene loaders."""
     root = Path(path)
     mpath = root / _MANIFEST
-    value = container.manifest_value
+    value, records = container.manifest_value, container.manifest_records
     manifest = container.read_manifest(mpath, "panfuse-scene", "a scene")
 
     cat = value(manifest, "catalog", dict, mpath)
@@ -539,7 +521,7 @@ def _read_manifest(path: str | Path) -> _SceneManifest:
     tensors = value(manifest, "tensors", dict, mpath)
 
     detections, mask_files = [], []
-    for rec, at in _records(manifest, "detections", mpath):
+    for rec, at in records(manifest, "detections", mpath):
         mask = value(rec, "mask", str, mpath, at, optional=True)
         mask_files.append(mask or None)
         detections.append(Detection(box=_box(rec, mpath, at),
@@ -554,7 +536,7 @@ def _read_manifest(path: str | Path) -> _SceneManifest:
                                  value(s, "class_id", int, mpath, at),
                                  _box(s, mpath, at),
                                  value(s, "area", int, mpath, at))
-                       for s, at in _records(g, "segments", mpath, "ground_truth")]
+                       for s, at in records(g, "segments", mpath, "ground_truth")]
     return _SceneManifest(
         root=root, catalog=catalog, shape=shape,
         semantic_probs=root / value(tensors, "semantic_probs", str, mpath, "tensors"),

@@ -40,8 +40,9 @@ class TrainConfig:
     param_scale: float = 0.15
 
     def validate(self) -> None:
-        if self.steps < 1:
-            raise NumericError("steps must be >= 1")
+        for name in ("steps", "scenes", "eval_scenes"):
+            if getattr(self, name) < 1:
+                raise NumericError(f"{name} must be >= 1")
         if self.learning_rate <= 0:
             raise NumericError("learning_rate must be > 0")
         if self.detections_source not in ("predicted", "ground_truth"):
@@ -152,18 +153,6 @@ def prepare_training_scene(scene: SceneCues, gt: GroundTruthPanoptic,
     return SceneBundle(scene=scene, gt=gt, potential=potential, target=target)
 
 
-def training_loss(bundle: SceneBundle, params: AffinityParams,
-                  use_affinity: bool) -> tuple[float, np.ndarray]:
-    """Forward pass to the scalar loss; also returns the logits gradient."""
-    psi = bundle.potential.psi
-    if use_affinity:
-        q0, q1 = project_features(bundle.scene.features, params)
-        p = apply_affinity_factored(psi, q0, q1)
-    else:
-        p = psi
-    return panoptic_matching_loss(p, bundle.target)
-
-
 def loss_and_grads(bundle: SceneBundle, params: AffinityParams,
                    buffers: dict | None = None,
                    ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -238,11 +227,16 @@ def make_eval_pool(cfg: TrainConfig) -> list[tuple[SceneCues, GroundTruthPanopti
             for i in range(cfg.eval_scenes)]
 
 
-def predict_panoptic(scene: SceneCues, params: AffinityParams | None,
-                     variant: Variant = Variant.B,
-                     score_threshold: float = EVAL_SCORE_THRESHOLD,
-                     ) -> tuple[PanopticMap, DynamicPotential]:
-    """Inference pipeline: filter, build potential, optional affinity, argmax."""
+def panoptic_logits(scene: SceneCues, params: AffinityParams | None,
+                    variant: Variant = Variant.B,
+                    score_threshold: float = EVAL_SCORE_THRESHOLD,
+                    ) -> tuple[np.ndarray, DynamicPotential, list[Detection]]:
+    """The inference forward: filter, stuff boxes, potential, optional affinity.
+
+    Returns the logits, the potential and the detections its channels
+    index (stuff pseudo-detections first). Without ``params`` the logits
+    are the potential itself.
+    """
     dets = filter_by_score(scene.detections, score_threshold)
     dets = append_stuff_boxes(dets, scene.catalog, scene.height, scene.width)
     potential = build_potential(scene.semantic_probs, dets, variant, scene.catalog)
@@ -250,13 +244,21 @@ def predict_panoptic(scene: SceneCues, params: AffinityParams | None,
     if params is not None:
         q0, q1 = project_features(scene.features, params)
         p = apply_affinity_factored(p, q0, q1)
+    return p, potential, dets
+
+
+def predict_panoptic(scene: SceneCues, params: AffinityParams | None,
+                     variant: Variant = Variant.B,
+                     score_threshold: float = EVAL_SCORE_THRESHOLD,
+                     ) -> tuple[PanopticMap, DynamicPotential]:
+    """Inference pipeline: the forward of ``panoptic_logits``, then argmax."""
+    p, potential, _ = panoptic_logits(scene, params, variant, score_threshold)
     return infer_panoptic(p, potential.channels), potential
 
 
 def evaluate_pq(pool: list[tuple[SceneCues, GroundTruthPanoptic]],
                 params: AffinityParams | None, variant: Variant,
-                mode: str = "argmax",
-                merger: MergerParams | None = None) -> PQReport:
+                mode: str = "argmax") -> PQReport:
     """Held-out PQ via the argmax path or the heuristic merger."""
     stats = PQStats()
     catalog = pool[0][0].catalog
@@ -265,7 +267,7 @@ def evaluate_pq(pool: list[tuple[SceneCues, GroundTruthPanoptic]],
             pred, _ = predict_panoptic(scene, params, variant)
         elif mode == "heuristic":
             pred = heuristic_merge(scene.semantic_probs, scene.detections,
-                                   merger or MergerParams(), scene.catalog)
+                                   MergerParams(), scene.catalog)
         else:
             raise NumericError(f"unknown inference mode {mode!r}")
         stats.accumulate(pred, panoptic_from_ground_truth(gt, catalog))
@@ -288,7 +290,7 @@ def train_toy(cfg: TrainConfig) -> TrainingReport:
     # Without the affinity head no parameter enters the loss, so each pool
     # scene's loss is computed once and repeated at every visit.
     fixed_losses = None if cfg.use_affinity else [
-        training_loss(b, params, use_affinity=False)[0] for b in pool[:cfg.steps]]
+        panoptic_matching_loss(b.potential.psi, b.target)[0] for b in pool[:cfg.steps]]
     for step in range(cfg.steps):
         if fixed_losses is not None:
             loss = fixed_losses[step % len(pool)]
@@ -476,14 +478,8 @@ def object_recovery(scene: SceneCues, gt: GroundTruthPanoptic,
     A pixel counts as recovered when the argmax assigns it to the channel
     of the detection matched to that segment.
     """
-    dets = filter_by_score(scene.detections, EVAL_SCORE_THRESHOLD)
-    dets = append_stuff_boxes(dets, scene.catalog, scene.height, scene.width)
+    p, potential, dets = panoptic_logits(scene, params, variant)
     match = match_segments(gt, dets, 0.1, scene.catalog)
-    potential = build_potential(scene.semantic_probs, dets, variant, scene.catalog)
-    p = potential.psi
-    if params is not None:
-        q0, q1 = project_features(scene.features, params)
-        p = apply_affinity_factored(p, q0, q1)
     winners = p.argmax(axis=2)
     det_for_gt = match.detection_for_gt()
     fractions = []

@@ -104,16 +104,6 @@ def test_oracle_equivalence_200_instances():
     assert worst <= 1e-10
 
 
-def test_row_parallel_matches_reference():
-    rng = np.random.default_rng(8)
-    psi = rng.normal(size=(17, 9, 5))
-    q0 = rng.normal(size=(17, 9, 6))
-    q1 = rng.normal(size=(17, 9, 6))
-    ref = apply_affinity_factored(psi, q0, q1)
-    par = apply_affinity_factored(psi, q0, q1, row_parallel=True)
-    assert np.abs(ref - par).max() <= 1e-12
-
-
 def test_naive_guard():
     psi = np.zeros((65, 65, 1))
     q = np.zeros((65, 65, 1))

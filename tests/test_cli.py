@@ -1,13 +1,21 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import panfuse
 from panfuse import container
+from panfuse.affinity import AffinityParams
 from panfuse.cli import main
-from panfuse.inference import load_panoptic
+from panfuse.inference import load_panoptic, save_panoptic
 from panfuse.numerics import VOID
+from panfuse.potential import Variant
 from panfuse.scene import load_scene
+from panfuse.train import predict_panoptic
 
 
 def run_cli(*args):
@@ -90,9 +98,10 @@ def test_run_dump_match_and_affinity(tmp_path):
 
 @pytest.mark.parametrize("steps", ["0", "-3", "x"])
 def test_train_and_ablate_steps_usage_error(tmp_path, capsys, steps):
-    assert run_cli("train", "--out", str(tmp_path / "t"), "--steps", steps) == 2
-    assert "--steps" in capsys.readouterr().err
-    assert not (tmp_path / "t").exists()
+    for flag in ("--steps", "--scenes", "--eval-scenes"):
+        assert run_cli("train", "--out", str(tmp_path / "t"), flag, steps) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
     assert run_cli("ablate", "--preset", "affinity", "--steps", steps) == 2
     assert "--steps" in capsys.readouterr().err
 
@@ -256,3 +265,69 @@ def test_eval_one_with_scene_records_equals_full_load(tmp_path, monkeypatch, ext
     assert np.array_equal(pred_classes, full[2]) and np.array_equal(gt_classes, full[3])
     assert np.array_equal(confusion.counts, full[4].counts)
     assert ap == full[5]
+
+
+_SEGMENT = '"index": 0, "class_id": 0, "area": 4, "instance_id": 0'
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "{spath}: expected a JSON object, got a list"),
+    ('{"format": "panfuse-panoptic"', "unparseable manifest in {pred}"),
+    ('{"format": "panfuse-panoptic"}', "{spath}: missing key segments"),
+    ('{"format": "panfuse-panoptic", "segments": [{%s}]}' % _SEGMENT,
+     "{spath}: missing key segments[0].kind"),
+    ('{"format": "panfuse-panoptic", "segments": [{%s, "kind": "stuff"}, 7]}' % _SEGMENT,
+     "{spath}: key segments[1] must be an object"),
+    ('{"format": "panfuse-panoptic", "segments": [{%s, "kind": 1}]}' % _SEGMENT,
+     "{spath}: key segments[0].kind must be a string, got an integer"),
+    ('{"format": "panfuse-panoptic", "segments": [{%s, "kind": "stuff"}]}'
+     % _SEGMENT.replace('"index": 0', '"index": 50'),
+     "{spath}: key segments[0].index must be 0, got 50"),
+], ids=["list", "bad-json", "no-segments", "no-kind", "not-an-object", "kind-integer",
+        "index-out-of-place"])
+def test_eval_rejects_damaged_sidecar(capsys, masked_scene_and_pred, text, message):
+    scene_dir, pred = masked_scene_and_pred
+    spath = pred / "segments.json"
+    spath.write_text(text)
+    capsys.readouterr()
+    assert run_cli("eval", "--scene", str(scene_dir), "--pred", str(pred)) == 3
+    assert message.format(spath=spath, pred=pred) in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def scene_and_params(tmp_path_factory):
+    root = tmp_path_factory.mktemp("forward")
+    scene_dir = root / "scene"
+    assert run_cli(*synth_args(scene_dir, seed=11, extra=[
+        "--with-masks", "--instances", "5", "--jitter", "1.5", "--truncation", "0.3",
+        "--confusion", "0.3", "--mask-noise", "0.3"])) == 0
+    AffinityParams.init(16, seed=4, scale=0.5).save(root / "checkpoint")
+    return scene_dir, root / "checkpoint"
+
+
+@pytest.mark.parametrize("variant, checkpoint, threshold",
+                         [(v, c, "0.5") for v in "ABC" for c in (False, True)]
+                         + [("B", False, "0.8"), ("B", True, "0.8")])
+def test_run_writes_the_library_forward(tmp_path, scene_and_params, variant, checkpoint,
+                                        threshold):
+    scene_dir, ckpt = scene_and_params
+    args = ["run", "--scene", str(scene_dir), "--out", str(tmp_path / "cli"),
+            "--variant", variant, "--score-threshold", threshold]
+    if checkpoint:
+        args += ["--checkpoint", str(ckpt)]
+    assert run_cli(*args) == 0
+    scene, _ = load_scene(scene_dir)
+    params = AffinityParams.load(ckpt) if checkpoint else None
+    pmap, _ = predict_panoptic(scene, params, Variant(variant), float(threshold))
+    save_panoptic(pmap, tmp_path / "lib")
+    for name in ("panoptic.panc", "segments.json"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(panfuse.__file__).resolve().parents[1]
+    code = ("import sys, panfuse.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -241,7 +241,7 @@ def test_target_map_perfect_detections():
     # Every stuff pixel maps to its class channel.
     for seg in gt.segments:
         if scene.catalog.is_stuff(seg.class_id):
-            channel = pot.stuff_channel(seg.class_id)
+            channel = pot.channel_for_detection(seg.class_id)
             assert (target.label_map[gt.label_map == seg.index] == channel).all()
 
 
@@ -262,7 +262,7 @@ def test_target_map_stuff_only_scene():
     _, match, pot = build_pipeline(scene, gt)
     target = build_target_map(gt, match, pot.channels)
     for seg in gt.segments:
-        channel = pot.stuff_channel(seg.class_id)
+        channel = pot.channel_for_detection(seg.class_id)
         assert (target.label_map[gt.label_map == seg.index] == channel).all()
 
 

@@ -1,39 +1,6 @@
 import numpy as np
-import pytest
 
-from panfuse.errors import DimensionError
-from panfuse.numerics import argmax_channels, matmul, softmax_channels
-
-
-def test_matmul_identity():
-    b = np.array([[5.0, 6.0], [7.0, 8.0]])
-    assert np.array_equal(matmul(np.eye(2), b), b)
-
-
-def test_matmul_hand_case():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[5.0], [6.0]])
-    assert np.array_equal(matmul(a, b), np.array([[17.0], [39.0]]))
-
-
-def test_matmul_zero_annihilates():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(3, 4))
-    assert np.array_equal(matmul(a, np.zeros((4, 2))), np.zeros((3, 2)))
-
-
-def test_matmul_shape_mismatch_names_both_shapes():
-    with pytest.raises(DimensionError, match="3x2 by 3x2"):
-        matmul(np.zeros((3, 2)), np.zeros((3, 2)))
-
-
-def test_matmul_associative():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        a, b, c = (rng.normal(size=(8, 8)) for _ in range(3))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.abs(left - right).max() <= 1e-10
+from panfuse.numerics import argmax_channels, softmax_channels
 
 
 def test_softmax_uniform_on_equal_logits():
@@ -90,6 +57,3 @@ def test_float32_mode_preserved():
     rng = np.random.default_rng(4)
     t = rng.normal(size=(3, 3, 4)).astype(np.float32)
     assert softmax_channels(t).dtype == np.float32
-    a = rng.normal(size=(4, 5)).astype(np.float32)
-    b = rng.normal(size=(5, 2)).astype(np.float32)
-    assert matmul(a, b).dtype == np.float32

@@ -24,7 +24,6 @@ from panfuse.train import (
     make_pool,
     prepare_training_scene,
     train_toy,
-    training_loss,
 )
 
 SMALL_SCENE = SynthConfig(height=8, width=8, n_stuff=2, n_thing=2, n_instances=1,
@@ -99,6 +98,13 @@ def test_ground_truth_detections_shape():
         assert det.box == seg.box and det.score == 1.0
 
 
+@pytest.mark.parametrize("name", ["steps", "scenes", "eval_scenes"])
+def test_config_rejects_counts_below_one(name):
+    for value in (0, -3):
+        with pytest.raises(NumericError, match=f"^{name} must be >= 1"):
+            small_cfg(**{name: value}).validate()
+
+
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_divergence_guard():
     # An init scale past the float64 range makes the very first forward
@@ -106,15 +112,6 @@ def test_divergence_guard():
     cfg = small_cfg(steps=4, param_scale=1e200)
     with pytest.raises(NumericError, match="step"):
         train_toy(cfg)
-
-
-def test_training_loss_off_equals_potential_loss():
-    scene, gt = synth_scene(SMALL_SCENE, seed=7)
-    bundle = prepare_training_scene(scene, gt, Variant.B, "predicted", 0.5)
-    params = AffinityParams.init(4, seed=0)
-    loss_off, _ = training_loss(bundle, params, use_affinity=False)
-    direct, _ = panoptic_matching_loss(bundle.potential.psi, bundle.target)
-    assert loss_off == direct
 
 
 def test_ablate_rows_shape():
@@ -230,9 +227,8 @@ def test_train_toy_without_affinity_matches_training_loss_loop():
                       match_threshold=0.4, use_affinity=False)
     report = train_toy(cfg)
     pool = make_pool(cfg)
-    params = AffinityParams.init(cfg.scene.feature_dim, seed=cfg.seed, scale=cfg.param_scale)
-    losses = [training_loss(pool[step % len(pool)], params, use_affinity=False)[0]
-              for step in range(cfg.steps)]
+    visits = [pool[step % len(pool)] for step in range(cfg.steps)]
+    losses = [panoptic_matching_loss(b.potential.psi, b.target)[0] for b in visits]
     assert report.loss_curve == losses
     assert len(set(losses)) > 1
     short = train_toy(replace(cfg, steps=3))  # fewer steps than pool scenes
