@@ -26,6 +26,7 @@ from .errors import (
     GenerationError,
     NumericError,
     PanfuseError,
+    UsageError,
 )
 from .inference import (
     MergerParams,

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +18,7 @@ import numpy as np
 
 from . import container
 from .affinity import AffinityParams, affinity_map_for_pixel, estimate_costs, project_features
-from .errors import CapacityError, CueError, DimensionError, FormatError, GenerationError, NumericError, PanfuseError
+from .errors import CapacityError, CueError, DimensionError, FormatError, GenerationError, NumericError, PanfuseError, UsageError
 from .inference import MergerParams, heuristic_merge, load_panoptic, panoptic_from_ground_truth, save_panoptic, trim_small_stuff
 from .matching import boxes_from_segments, match_segments
 from .metrics import ConfusionTS, PQStats, box_average_precision, mean_iou, thing_stuff_confusion
@@ -35,12 +33,8 @@ EXIT_NUMERIC = 4
 
 
 def _worker_count() -> int:
-    raw = os.environ.get("PANOPTIC_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n) if n else min(4, os.cpu_count() or 1)
+    """Scenes that `run` and `eval` process at once; bench/run.py records it."""
+    return 1
 
 
 def _positive_int(text: str) -> int:
@@ -159,16 +153,12 @@ def _run_one(args: argparse.Namespace, scene_path: str, out_path: str,
 
 def cmd_run(args: argparse.Namespace) -> int:
     if len(args.scene) != len(args.out):
-        raise CueError(f"got {len(args.scene)} scenes but {len(args.out)} outputs")
+        raise UsageError(f"got {len(args.scene)} --scene but {len(args.out)} --out")
     if args.dump_affinity and not args.checkpoint:
-        raise CueError("--dump-affinity needs --checkpoint")
+        raise UsageError("--dump-affinity needs --checkpoint")
     params = AffinityParams.load(args.checkpoint) if args.checkpoint else None
-    pairs = list(zip(args.scene, args.out))
-    if len(pairs) == 1:
-        summaries = [_run_one(args, *pairs[0], params)]
-    else:
-        with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-            summaries = list(pool.map(lambda sp: _run_one(args, *sp, params), pairs))
+    summaries = [_run_one(args, scene, out, params)
+                 for scene, out in zip(args.scene, args.out)]
     for summary in summaries:
         print(json.dumps(summary))
     return EXIT_OK
@@ -204,6 +194,14 @@ def _eval_one(scene_path: str, pred_path: str):
     if gt is None:
         raise CueError(f"scene {scene_path} has no ground truth to evaluate against")
     pred = load_panoptic(pred_path)
+    spath = Path(pred_path) / "segments.json"
+    for s in pred.segments:
+        if not (catalog.is_thing(s.class_id) or catalog.is_stuff(s.class_id)):
+            raise FormatError(f"{spath}: key segments[{s.index}].class_id: "
+                              f"{s.class_id} is outside the catalog of {scene_path}")
+        if (s.kind == "thing") != catalog.is_thing(s.class_id):
+            raise FormatError(f"{spath}: key segments[{s.index}].kind is {s.kind!r}, "
+                              f"but class {s.class_id} is not a {s.kind} class in {scene_path}")
     gt_map = panoptic_from_ground_truth(gt, catalog)
     stats = PQStats().accumulate(pred, gt_map)
     pred_classes = pred.class_map().ravel()
@@ -216,12 +214,8 @@ def _eval_one(scene_path: str, pred_path: str):
 
 def cmd_eval(args: argparse.Namespace) -> int:
     if len(args.scene) != len(args.pred):
-        raise CueError(
-            f"got {len(args.scene)} scenes but {len(args.pred)} predictions"
-        )
-    pairs = list(zip(args.scene, args.pred))
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        results = list(pool.map(lambda sp: _eval_one(*sp), pairs))
+        raise UsageError(f"got {len(args.scene)} --scene but {len(args.pred)} --pred")
+    results = [_eval_one(scene, pred) for scene, pred in zip(args.scene, args.pred)]
 
     catalog = results[0][0]
     stats = PQStats()
@@ -244,7 +238,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "iou_per_class": {str(c): v for c, v in sorted(iou_per_class.items())},
         "confusion": merged_confusion.to_json_dict(),
         "box_ap": float(np.mean(aps)),
-        "scenes": len(pairs),
+        "scenes": len(results),
     }
     if args.json:
         Path(args.json).write_text(json.dumps(payload, indent=2, sort_keys=True))
@@ -378,6 +372,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
+    except UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except (FormatError, CueError, GenerationError, DimensionError, CapacityError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -5,6 +5,10 @@ class PanfuseError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class UsageError(PanfuseError):
+    """Command-line arguments that parse but do not fit together."""
+
+
 class DimensionError(PanfuseError):
     """Operands have incompatible or malformed shapes."""
 

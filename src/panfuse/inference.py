@@ -230,24 +230,36 @@ def load_panoptic(path: str | Path) -> PanopticMap:
     spath = root / "segments.json"
     sidecar = container.read_manifest(spath, "panfuse-panoptic", "a panoptic")
     value = container.manifest_value
+    records = container.manifest_records(sidecar, "segments", spath)
     segments = []
-    for i, (s, at) in enumerate(container.manifest_records(sidecar, "segments", spath)):
+    for i, (s, at) in enumerate(records):
         index = value(s, "index", int, spath, at)
         if index != i:  # label maps index the segment list directly
             raise FormatError(f"{spath}: key {at}.index must be {i}, got {index}")
+        kind = value(s, "kind", str, spath, at)
+        if kind not in ("thing", "stuff"):
+            raise FormatError(f'{spath}: key {at}.kind must be "thing" or "stuff", got {kind!r}')
         segments.append(Segment(index=index,
                                 class_id=value(s, "class_id", int, spath, at),
-                                kind=value(s, "kind", str, spath, at),
+                                kind=kind,
                                 area=value(s, "area", int, spath, at),
                                 instance_id=value(s, "instance_id", int, spath, at)))
     grid = container.read_tensor(root / "panoptic.panc")
-    decode = {s.encoded_id: s.index for s in segments}
-    label = np.full(grid.shape, VOID, dtype=np.int32)
-    for encoded, index in decode.items():
-        label[grid == encoded] = index
-    unknown = (label == VOID) & (grid != _VOID_U32)
-    if unknown.any():
+    # ``return_inverse`` would argsort the grid; a search of the sorted
+    # unique ids gives the same inverse at a fifth of the cost.
+    encoded, counts = np.unique(grid, return_counts=True)
+    decode = {_VOID_U32: VOID}
+    decode.update((s.encoded_id, s.index) for s in segments)
+    try:
+        lut = np.array([decode[e] for e in encoded.tolist()], dtype=np.int32)
+    except KeyError:
         raise FormatError(
             f"panoptic grid in {root} references encoded ids missing from the sidecar"
-        )
+        ) from None
+    pixels = dict(zip(lut.tolist(), counts.tolist()))
+    for s, (_, at) in zip(segments, records):
+        if s.area != pixels.get(s.index, 0):
+            raise FormatError(f"{spath}: key {at}.area is {s.area}, but segment {s.index} "
+                              f"has {pixels.get(s.index, 0)} pixels in the grid")
+    label = lut[np.searchsorted(encoded, grid)]
     return PanopticMap(label_map=label, segments=segments)

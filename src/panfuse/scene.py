@@ -364,6 +364,31 @@ def _non_finite(name: str, t: np.ndarray) -> list[str]:
     return [f"{name}: non-finite value at pixel ({y}, {x})"]
 
 
+def _detection_violations(det: Detection, catalog: ClassCatalog,
+                          h: int, w: int) -> list[str]:
+    """Violations of a detection's box, score and class on an ``h`` x ``w`` grid.
+
+    Each message starts with the key it names (``.box``, ``.score``,
+    ``.class_id``) or a colon, for the caller to prefix with the detection.
+    """
+    b = det.box
+    if b.x0 >= b.x1 or b.y0 >= b.y1:
+        return [f".box: degenerate box {b.as_tuple()}"]
+    violations = []
+    if not b.inside(w, h):
+        violations.append(f".box: {b.as_tuple()} exceeds {w}x{h} grid")
+    if not (0.0 <= det.score <= 1.0):
+        violations.append(f".score: {det.score} outside [0, 1]")
+    if not (0 <= det.class_id < catalog.n_classes):
+        violations.append(f".class_id: {det.class_id} out of range")
+    elif catalog.is_stuff(det.class_id):
+        if det.score != 1.0:
+            violations.append(": stuff pseudo-detection must have score 1.0")
+        if b.as_tuple() != (0, 0, w, h):
+            violations.append(": stuff pseudo-detection must use the full-image box")
+    return violations
+
+
 def validate_scene(scene: SceneCues) -> list[str]:
     """Check scene invariants; returns one message per violation."""
     violations: list[str] = []
@@ -390,31 +415,15 @@ def validate_scene(scene: SceneCues) -> list[str]:
     else:
         violations += _non_finite("features", scene.features)
     for i, det in enumerate(scene.detections):
-        b = det.box
-        if b.x0 >= b.x1 or b.y0 >= b.y1:
-            violations.append(f"detections[{i}].box: degenerate box {b.as_tuple()}")
-            continue
-        if not b.inside(w, h):
-            violations.append(f"detections[{i}].box: {b.as_tuple()} exceeds {w}x{h} grid")
-        if not (0.0 <= det.score <= 1.0):
-            violations.append(f"detections[{i}].score: {det.score} outside [0, 1]")
-        if not (0 <= det.class_id < scene.catalog.n_classes):
-            violations.append(f"detections[{i}].class_id: {det.class_id} out of range")
-        elif scene.catalog.is_stuff(det.class_id):
-            if det.score != 1.0:
-                violations.append(
-                    f"detections[{i}]: stuff pseudo-detection must have score 1.0"
-                )
-            if b.as_tuple() != (0, 0, w, h):
-                violations.append(
-                    f"detections[{i}]: stuff pseudo-detection must use the full-image box"
-                )
+        violations += [f"detections[{i}]{v}"
+                       for v in _detection_violations(det, scene.catalog, h, w)]
         if det.mask is not None:
             if det.mask.shape != (h, w):
                 violations.append(f"detections[{i}].mask: shape {det.mask.shape} != {(h, w)}")
                 continue
             if det.mask.min() < 0.0 or det.mask.max() > 1.0:
                 violations.append(f"detections[{i}].mask: values outside [0, 1]")
+            b = det.box
             outside = det.mask.copy()
             outside[b.y0:b.y1, b.x0:b.x1] = 0.0
             if np.any(outside != 0.0):
@@ -498,7 +507,10 @@ def _box(node: dict, source: Path, at: str) -> Box:
     coords = container.manifest_value(node, "box", list, source, at)
     if len(coords) != 4 or any(type(x) is not int for x in coords):
         raise FormatError(f"{source}: key {at}.box must be a list of 4 integers")
-    return Box(*coords)
+    try:
+        return Box(*coords)
+    except DimensionError as e:
+        raise FormatError(f"{source}: key {at}.box: {e}") from None
 
 
 def _read_manifest(path: str | Path) -> _SceneManifest:
@@ -524,19 +536,24 @@ def _read_manifest(path: str | Path) -> _SceneManifest:
     for rec, at in records(manifest, "detections", mpath):
         mask = value(rec, "mask", str, mpath, at, optional=True)
         mask_files.append(mask or None)
-        detections.append(Detection(box=_box(rec, mpath, at),
-                                    score=value(rec, "score", float, mpath, at),
-                                    class_id=value(rec, "class_id", int, mpath, at)))
+        det = Detection(box=_box(rec, mpath, at),
+                        score=value(rec, "score", float, mpath, at),
+                        class_id=value(rec, "class_id", int, mpath, at))
+        for violation in _detection_violations(det, catalog, *shape):
+            raise FormatError(f"{mpath}: key {at}{violation}")
+        detections.append(det)
 
     gt_labels, gt_segments = None, []
     g = value(manifest, "ground_truth", dict, mpath, optional=True)
     if g:
         gt_labels = root / value(g, "label_map", str, mpath, "ground_truth")
-        gt_segments = [GtSegment(value(s, "index", int, mpath, at),
-                                 value(s, "class_id", int, mpath, at),
-                                 _box(s, mpath, at),
-                                 value(s, "area", int, mpath, at))
-                       for s, at in records(g, "segments", mpath, "ground_truth")]
+        for s, at in records(g, "segments", mpath, "ground_truth"):
+            class_id = value(s, "class_id", int, mpath, at)
+            if not (0 <= class_id < catalog.n_classes):
+                raise FormatError(f"{mpath}: key {at}.class_id: {class_id} out of range")
+            gt_segments.append(GtSegment(value(s, "index", int, mpath, at), class_id,
+                                         _box(s, mpath, at),
+                                         value(s, "area", int, mpath, at)))
     return _SceneManifest(
         root=root, catalog=catalog, shape=shape,
         semantic_probs=root / value(tensors, "semantic_probs", str, mpath, "tensors"),

@@ -435,10 +435,9 @@ def ablate(configs: list[TrainConfig], labels: list[str] | None = None) -> list[
     for i, cfg in enumerate(configs):
         label = labels[i] if labels else f"config_{i}"
         report = train_toy(cfg)
-        eval_pool = make_eval_pool(cfg)
         pq_heu = None
         if cfg.scene.with_masks:
-            heu = evaluate_pq(eval_pool, None, cfg.variant, mode="heuristic")
+            heu = evaluate_pq(make_eval_pool(cfg), None, cfg.variant, mode="heuristic")
             pq_heu = (heu.pq("all"), heu.pq("things"), heu.pq("stuff"))
         pq = report.final_pq
         rows.append(AblationRow(

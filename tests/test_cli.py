@@ -11,7 +11,8 @@ import panfuse
 from panfuse import container
 from panfuse.affinity import AffinityParams
 from panfuse.cli import main
-from panfuse.inference import load_panoptic, save_panoptic
+from panfuse.inference import load_panoptic, panoptic_from_ground_truth, save_panoptic
+from panfuse.metrics import mean_iou
 from panfuse.numerics import VOID
 from panfuse.potential import Variant
 from panfuse.scene import load_scene
@@ -228,18 +229,49 @@ def test_run_on_non_finite_scene_exits_3_without_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def _set(*path_and_value):
+    """A manifest edit that sets the key at ``path`` to ``value``."""
+    *path, key, value = path_and_value
+
+    def edit(manifest, *_):
+        node = manifest
+        for step in path:
+            node = node[step]
+        node[key] = value
+        return json.dumps(manifest)
+    return edit
+
+
 def test_run_and_eval_reject_malformed_manifest(tmp_path, capsys, masked_scene_and_pred):
     scene_dir, pred = masked_scene_and_pred
     mpath = scene_dir / "manifest.json"
-    manifest = json.loads(mpath.read_text())
-    del manifest["catalog"]
-    mpath.write_text(json.dumps(manifest))
-    capsys.readouterr()
-    assert run_cli("run", "--scene", str(scene_dir), "--out", str(tmp_path / "again")) == 3
-    assert f"{mpath}: missing key catalog" in capsys.readouterr().err
-    mpath.write_text("[1, 2]")
-    assert run_cli("eval", "--scene", str(scene_dir), "--pred", str(pred)) == 3
-    assert f"{mpath}: expected a JSON object" in capsys.readouterr().err
+    original = mpath.read_text()
+    segment = ("ground_truth", "segments", 0)
+    cases = [
+        (lambda m: json.dumps({k: v for k, v in m.items() if k != "catalog"}),
+         "missing key catalog"),
+        (lambda m: "[1, 2]", "expected a JSON object"),
+        (_set("detections", 0, "score", 1.5), "key detections[0].score: 1.5 outside [0, 1]"),
+        (_set("detections", 1, "box", [20, 20, 40, 40]),
+         "key detections[1].box: (20, 20, 40, 40) exceeds 32x32 grid"),
+        (_set("detections", 0, "box", [5, 5, 5, 9]),
+         "key detections[0].box: box must have positive area"),
+        (_set("detections", 2, "class_id", 99), "key detections[2].class_id: 99 out of range"),
+        (_set("detections", 0, "class_id", 0),
+         "key detections[0]: stuff pseudo-detection must have score 1.0"),
+        (_set(*segment, "class_id", 99), "key ground_truth.segments[0].class_id: 99 out of range"),
+    ]
+    for edit, message in cases:
+        mpath.write_text(edit(json.loads(original)))
+        capsys.readouterr()
+        for mode in ("argmax", "heuristic"):
+            out = tmp_path / "again"
+            assert run_cli("run", "--scene", str(scene_dir), "--out", str(out),
+                           "--mode", mode) == 3, message
+            assert f"{mpath}: {message}" in capsys.readouterr().err
+            assert not out.exists()
+        assert run_cli("eval", "--scene", str(scene_dir), "--pred", str(pred)) == 3, message
+        assert f"{mpath}: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [[], ["--with-masks", "--jitter", "1.5"]])
@@ -270,28 +302,60 @@ def test_eval_one_with_scene_records_equals_full_load(tmp_path, monkeypatch, ext
 _SEGMENT = '"index": 0, "class_id": 0, "area": 4, "instance_id": 0'
 
 
-@pytest.mark.parametrize("text, message", [
-    ("[1, 2]", "{spath}: expected a JSON object, got a list"),
-    ('{"format": "panfuse-panoptic"', "unparseable manifest in {pred}"),
-    ('{"format": "panfuse-panoptic"}', "{spath}: missing key segments"),
-    ('{"format": "panfuse-panoptic", "segments": [{%s}]}' % _SEGMENT,
+def _first_thing_as_stuff(sidecar, _):
+    seg = next(s for s in sidecar["segments"] if s["kind"] == "thing")
+    seg["kind"] = "stuff"
+    return json.dumps(sidecar)
+
+
+def _stuff_as_class_99(sidecar, pred):
+    """Relabels segment 0 (stuff) as class 99 in the grid and the sidecar alike."""
+    seg = sidecar["segments"][0]
+    grid = container.read_tensor(pred / "panoptic.panc")
+    grid[grid == seg["encoded_id"]] = seg["encoded_id"] = 99_000
+    seg["class_id"] = 99
+    container.write_tensor(pred / "panoptic.panc", grid)
+    return json.dumps(sidecar)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda *_: "[1, 2]", "{spath}: expected a JSON object, got a list"),
+    (lambda *_: '{"format": "panfuse-panoptic"', "unparseable manifest in {pred}"),
+    (lambda *_: '{"format": "panfuse-panoptic"}', "{spath}: missing key segments"),
+    (lambda *_: '{"format": "panfuse-panoptic", "segments": [{%s}]}' % _SEGMENT,
      "{spath}: missing key segments[0].kind"),
-    ('{"format": "panfuse-panoptic", "segments": [{%s, "kind": "stuff"}, 7]}' % _SEGMENT,
-     "{spath}: key segments[1] must be an object"),
-    ('{"format": "panfuse-panoptic", "segments": [{%s, "kind": 1}]}' % _SEGMENT,
+    (lambda *_: '{"format": "panfuse-panoptic", "segments": [{%s, "kind": "stuff"}, 7]}'
+     % _SEGMENT, "{spath}: key segments[1] must be an object"),
+    (lambda *_: '{"format": "panfuse-panoptic", "segments": [{%s, "kind": 1}]}' % _SEGMENT,
      "{spath}: key segments[0].kind must be a string, got an integer"),
-    ('{"format": "panfuse-panoptic", "segments": [{%s, "kind": "stuff"}]}'
+    (lambda *_: '{"format": "panfuse-panoptic", "segments": [{%s, "kind": "stuff"}]}'
      % _SEGMENT.replace('"index": 0', '"index": 50'),
      "{spath}: key segments[0].index must be 0, got 50"),
+    (_set("segments", 0, "kind", "banana"),
+     """{spath}: key segments[0].kind must be "thing" or "stuff", got 'banana'"""),
+    (_set("segments", 1, "area", 5), "{spath}: key segments[1].area is 5, but segment 1 has"),
+    (_first_thing_as_stuff, "].kind is 'stuff', but class "),
+    (_stuff_as_class_99, "{spath}: key segments[0].class_id: 99 is outside the catalog"),
 ], ids=["list", "bad-json", "no-segments", "no-kind", "not-an-object", "kind-integer",
-        "index-out-of-place"])
-def test_eval_rejects_damaged_sidecar(capsys, masked_scene_and_pred, text, message):
+        "index-out-of-place", "kind-banana", "area-off", "thing-as-stuff", "class-99"])
+def test_eval_rejects_damaged_sidecar(capsys, masked_scene_and_pred, edit, message):
     scene_dir, pred = masked_scene_and_pred
     spath = pred / "segments.json"
-    spath.write_text(text)
+    spath.write_text(edit(json.loads(spath.read_text()), pred))
     capsys.readouterr()
     assert run_cli("eval", "--scene", str(scene_dir), "--pred", str(pred)) == 3
     assert message.format(spath=spath, pred=pred) in capsys.readouterr().err
+
+
+def test_load_panoptic_decodes_like_a_per_segment_scan(masked_scene_and_pred):
+    _, pred = masked_scene_and_pred
+    grid = container.read_tensor(pred / "panoptic.panc")
+    pmap = load_panoptic(pred)
+    expected = np.full(grid.shape, VOID, dtype=np.int32)
+    for s in pmap.segments:
+        expected[grid == s.encoded_id] = s.index
+    assert pmap.label_map.dtype == expected.dtype
+    assert np.array_equal(pmap.label_map, expected)
 
 
 @pytest.fixture(scope="module")
@@ -331,3 +395,95 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_run_and_eval_usage_errors_exit_2_before_writing(tmp_path, capsys,
+                                                         masked_scene_and_pred):
+    scene_dir, pred = masked_scene_and_pred
+    out_a, out_b, report = tmp_path / "a", tmp_path / "b", tmp_path / "eval.json"
+    scene = ["--scene", str(scene_dir)]
+    assert run_cli("run", *scene, *scene, "--out", str(out_a)) == 2
+    assert "got 2 --scene but 1 --out" in capsys.readouterr().err
+    assert run_cli("run", *scene, "--out", str(out_a), "--out", str(out_b)) == 2
+    assert run_cli("run", *scene, "--out", str(out_a), "--dump-affinity", "1,1") == 2
+    assert "--dump-affinity needs --checkpoint" in capsys.readouterr().err
+    assert not out_a.exists() and not out_b.exists()
+    assert run_cli("eval", *scene, *scene, "--pred", str(pred), "--json", str(report)) == 2
+    assert "got 2 --scene but 1 --pred" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.fixture
+def three_scenes(tmp_path):
+    scenes = [tmp_path / f"scene{i}" for i in range(3)]
+    for seed, scene_dir in zip((3, 4, 5), scenes):
+        assert run_cli(*synth_args(scene_dir, seed=seed,
+                                   extra=["--with-masks", "--instances", "4",
+                                          "--truncation", "0.3"])) == 0
+    return scenes
+
+
+def test_run_and_eval_over_several_scenes_equal_single_scene_runs(tmp_path, capsys,
+                                                                  three_scenes):
+    together = [tmp_path / f"together{i}" for i in range(3)]
+    alone = [tmp_path / f"alone{i}" for i in range(3)]
+    argv = ["run", "--variant", "C", "--trim", "20"]
+    for scene_dir, out in zip(three_scenes, together):
+        argv += ["--scene", str(scene_dir), "--out", str(out)]
+    capsys.readouterr()
+    assert run_cli(*argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["out"] for line in lines] == [str(p) for p in together]
+    for scene_dir, out in zip(three_scenes, alone):
+        assert run_cli("run", "--variant", "C", "--trim", "20",
+                       "--scene", str(scene_dir), "--out", str(out)) == 0
+    for a, b in zip(together, alone):
+        for name in ("panoptic.panc", "segments.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    singles = []
+    for i, (scene_dir, out) in enumerate(zip(three_scenes, together)):
+        path = tmp_path / f"eval{i}.json"
+        assert run_cli("eval", "--scene", str(scene_dir), "--pred", str(out),
+                       "--json", str(path)) == 0
+        singles.append(json.loads(path.read_text()))
+    argv = ["eval", "--json", str(tmp_path / "eval.json")]
+    for scene_dir, out in zip(three_scenes, together):
+        argv += ["--scene", str(scene_dir), "--pred", str(out)]
+    assert run_cli(*argv) == 0
+    merged = json.loads((tmp_path / "eval.json").read_text())
+    assert merged["scenes"] == 3
+    assert merged["box_ap"] == pytest.approx(np.mean([p["box_ap"] for p in singles]))
+    assert merged["confusion"]["counts"] == np.sum(
+        [p["confusion"]["counts"] for p in singles], axis=0).tolist()
+    per_class = merged["pq"]["per_class"]
+    assert set(per_class) == set().union(*(p["pq"]["per_class"] for p in singles))
+    for c, counts in per_class.items():
+        parts = [p["pq"]["per_class"][c] for p in singles if c in p["pq"]["per_class"]]
+        for key in ("tp", "fp", "fn"):
+            assert counts[key] == sum(part[key] for part in parts)
+        assert counts["iou_sum"] == pytest.approx(sum(part["iou_sum"] for part in parts))
+    scene, _ = load_scene(three_scenes[0])
+    pred_classes, gt_classes = [], []
+    for scene_dir, out in zip(three_scenes, together):
+        _, gt = load_scene(scene_dir)
+        pred_classes.append(load_panoptic(out).class_map().ravel())
+        gt_classes.append(panoptic_from_ground_truth(gt, scene.catalog).class_map().ravel())
+    _, miou = mean_iou(np.concatenate(pred_classes), np.concatenate(gt_classes),
+                       scene.catalog)
+    assert merged["mean_iou"] == miou
+
+
+def test_run_stops_at_a_damaged_scene(tmp_path, capsys, three_scenes):
+    (three_scenes[1] / "mask_001.panc").unlink()
+    outs = [tmp_path / f"pred{i}" for i in range(3)]
+    argv = ["run"]
+    for scene_dir, out in zip(three_scenes, outs):
+        argv += ["--scene", str(scene_dir), "--out", str(out)]
+    capsys.readouterr()
+    assert run_cli(*argv) == 3
+    captured = capsys.readouterr()
+    assert str(three_scenes[1] / "mask_001.panc") in captured.err
+    assert captured.out == ""
+    assert (outs[0] / "panoptic.panc").exists()
+    assert not outs[1].exists() and not outs[2].exists()

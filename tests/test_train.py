@@ -114,15 +114,25 @@ def test_divergence_guard():
         train_toy(cfg)
 
 
-def test_ablate_rows_shape():
+def test_ablate_rows_shape(monkeypatch):
+    from panfuse import train
+
+    built = []
+    monkeypatch.setattr(train, "make_eval_pool",
+                        lambda cfg: built.append(cfg) or make_eval_pool(cfg))
+    masked = replace(SMALL_SCENE, with_masks=True)
     cfgs = [small_cfg(), small_cfg(use_affinity=False),
-            small_cfg(detections_source="ground_truth")]
-    rows = ablate(cfgs, ["on", "off", "gt"])
-    assert [r.label for r in rows] == ["on", "off", "gt"]
+            small_cfg(detections_source="ground_truth"), small_cfg(scene=masked)]
+    rows = ablate(cfgs, ["on", "off", "gt", "masks"])
+    assert [r.label for r in rows] == ["on", "off", "gt", "masks"]
     assert rows[0].use_affinity and not rows[1].use_affinity
     assert rows[2].detections_source == "ground_truth"
     for r in rows:
         assert len(r.pq_argmax) == 3
+    assert [r.pq_heuristic is not None for r in rows] == [False, False, False, True]
+    # One held-out pool per config for its argmax PQ, and a second one only
+    # where the heuristic merger scores it.
+    assert built == cfgs + [cfgs[3]]
 
 
 # ---------------------------------------------------------------------------
