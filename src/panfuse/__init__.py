@@ -51,6 +51,7 @@ from .metrics import (
     PQReport,
     PQStats,
     box_average_precision,
+    class_pixel_counts,
     mean_iou,
     panoptic_quality,
     thing_stuff_confusion,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,7 +22,7 @@ from .affinity import AffinityParams, affinity_map_for_pixel, estimate_costs, pr
 from .errors import CapacityError, CueError, DimensionError, FormatError, GenerationError, NumericError, PanfuseError, UsageError
 from .inference import MergerParams, heuristic_merge, load_panoptic, panoptic_from_ground_truth, save_panoptic, trim_small_stuff
 from .matching import boxes_from_segments, match_segments
-from .metrics import ConfusionTS, PQStats, box_average_precision, mean_iou, thing_stuff_confusion
+from .metrics import PQStats, box_average_precision, class_pixel_counts, mean_iou, thing_stuff_confusion
 from .potential import Variant, append_stuff_boxes
 from .scene import SynthConfig, load_scene, load_scene_records, save_scene, synth_scene, validate_scene
 from .train import TrainConfig, ablate, predict_panoptic, render_ablation_table, train_toy
@@ -37,15 +38,30 @@ def _worker_count() -> int:
     return 1
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _bounded(kind: type, low: float, high: float | None = None, low_open: bool = False):
+    """argparse type: a finite ``kind`` value above ``low`` (strictly when
+    ``low_open``) and at most ``high``."""
+    if high is None:
+        rule = f"> {low}" if low_open else f">= {low}"
+    else:
+        rule = f"in {'(' if low_open else '['}{low}, {high}]"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
+        above = value > low if low_open else value >= low
+        if not (above and math.isfinite(value) and (high is None or value <= high)):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    return parse
+
+
+_positive_int = _bounded(int, 1)
+_fraction = _bounded(float, 0, 1)  # score and merger thresholds
+_match_threshold = _bounded(float, 0, 1, low_open=True)
 
 
 def _pixel(text: str) -> tuple[int, int]:
@@ -204,41 +220,37 @@ def _eval_one(scene_path: str, pred_path: str):
                               f"but class {s.class_id} is not a {s.kind} class in {scene_path}")
     gt_map = panoptic_from_ground_truth(gt, catalog)
     stats = PQStats().accumulate(pred, gt_map)
-    pred_classes = pred.class_map().ravel()
-    gt_classes = gt_map.class_map().ravel()
-    confusion = thing_stuff_confusion(pred_classes, gt_classes, catalog)
+    classes = class_pixel_counts(pred.class_map(), gt_map.class_map(), catalog)
     gt_thing_boxes = [(c, b) for c, b in boxes_from_segments(gt) if catalog.is_thing(c)]
     ap = box_average_precision(detections, gt_thing_boxes)
-    return catalog, stats, pred_classes, gt_classes, confusion, ap
+    return catalog, stats, classes, ap
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     if len(args.scene) != len(args.pred):
         raise UsageError(f"got {len(args.scene)} --scene but {len(args.pred)} --pred")
-    results = [_eval_one(scene, pred) for scene, pred in zip(args.scene, args.pred)]
-
-    catalog = results[0][0]
-    stats = PQStats()
-    aps = []
-    pred_classes, gt_classes = [], []
-    merged_confusion = ConfusionTS()
-    for _, s, pc, gc, confusion, ap in results:
-        stats.merge(s)
-        pred_classes.append(pc)
-        gt_classes.append(gc)
+    # Running totals: PQ counters merge scene by scene, class tables add up.
+    stats, classes, aps = PQStats(), 0, []
+    for scene, pred in zip(args.scene, args.pred):
+        scene_catalog, scene_stats, scene_classes, ap = _eval_one(scene, pred)
+        if not aps:
+            catalog = scene_catalog
+        elif scene_catalog != catalog:
+            raise CueError(f"scene {scene} has catalog {scene_catalog}, but scene "
+                           f"{args.scene[0]} has {catalog}; eval scores all scenes "
+                           f"against one catalog")
+        stats.merge(scene_stats)
+        classes = classes + scene_classes
         aps.append(ap)
-        merged_confusion.counts += confusion.counts
     report = stats.report(catalog)
-    # Mean IoU accumulates intersection/union counts over the whole set.
-    iou_per_class, miou = mean_iou(np.concatenate(pred_classes),
-                                   np.concatenate(gt_classes), catalog)
+    iou_per_class, miou = mean_iou(classes, catalog)
     payload = {
         "pq": report.to_json_dict(),
         "mean_iou": miou,
         "iou_per_class": {str(c): v for c, v in sorted(iou_per_class.items())},
-        "confusion": merged_confusion.to_json_dict(),
+        "confusion": thing_stuff_confusion(classes, catalog).to_json_dict(),
         "box_ap": float(np.mean(aps)),
-        "scenes": len(results),
+        "scenes": len(aps),
     }
     if args.json:
         Path(args.json).write_text(json.dumps(payload, indent=2, sort_keys=True))
@@ -311,13 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", action="append", required=True)
     p.add_argument("--mode", choices=["argmax", "heuristic"], default="argmax")
     p.add_argument("--variant", choices=["A", "B", "C"], default="B")
-    p.add_argument("--score-threshold", type=float, default=0.5)
-    p.add_argument("--match-threshold", type=float, default=0.5)
+    p.add_argument("--score-threshold", type=_fraction, default=0.5)
+    p.add_argument("--match-threshold", type=_match_threshold, default=0.5)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--trim", type=int, default=0)
-    p.add_argument("--merger-score", type=float, default=0.5)
-    p.add_argument("--merger-overlap", type=float, default=0.5)
-    p.add_argument("--merger-stuff-area", type=int, default=64)
+    p.add_argument("--merger-score", type=_fraction, default=0.5)
+    p.add_argument("--merger-overlap", type=_fraction, default=0.5)
+    p.add_argument("--merger-stuff-area", type=_bounded(int, 0), default=64)
     p.add_argument("--dump-match", action="store_true")
     p.add_argument("--dump-affinity", type=_pixel, default=None, metavar="ROW,COL")
     p.set_defaults(func=cmd_run)
@@ -325,12 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the affinity head on synthetic scenes")
     p.add_argument("--out", required=True)
     p.add_argument("--steps", type=_positive_int, default=40000)
-    p.add_argument("--learning-rate", type=float, default=0.01)
+    p.add_argument("--learning-rate", type=_bounded(float, 0, low_open=True), default=0.01)
     p.add_argument("--no-affinity", action="store_true")
     p.add_argument("--detections-source", choices=["predicted", "ground_truth"],
                    default="predicted")
     p.add_argument("--variant", choices=["A", "B", "C"], default="B")
-    p.add_argument("--match-threshold", type=float, default=0.5)
+    p.add_argument("--match-threshold", type=_match_threshold, default=0.5)
     p.add_argument("--scenes", type=_positive_int, default=64)
     p.add_argument("--eval-scenes", type=_positive_int, default=6)
     _add_synth_flags(p)

@@ -84,24 +84,21 @@ def infer_panoptic(p: np.ndarray, channel_meta: list[ChannelInfo]) -> PanopticMa
             f"logits have {p.shape[2]} channels, metadata describes {len(channel_meta)}"
         )
     winners = argmax_channels(p)
-    label = np.full(p.shape[:2], VOID, dtype=np.int32)
+    areas = np.bincount(winners.ravel(), minlength=len(channel_meta))
+    segment_of = np.full(len(channel_meta), VOID, dtype=np.int32)
     segments: list[Segment] = []
     next_instance = 1
-    for k, info in enumerate(channel_meta):
-        pixels = winners == k
-        area = int(pixels.sum())
-        if area == 0:
-            continue
+    for k in np.flatnonzero(areas).tolist():
+        info = channel_meta[k]
         if info.kind == "thing":
             instance_id = next_instance  # ids follow the order of winning channels
             next_instance += 1
         else:
             instance_id = 0
-        index = len(segments)
-        label[pixels] = index
-        segments.append(Segment(index=index, class_id=info.class_id,
-                                kind=info.kind, area=area, instance_id=instance_id))
-    return PanopticMap(label_map=label, segments=segments)
+        segment_of[k] = len(segments)
+        segments.append(Segment(index=len(segments), class_id=info.class_id, kind=info.kind,
+                                area=int(areas[k]), instance_id=instance_id))
+    return PanopticMap(label_map=segment_of[winners], segments=segments)
 
 
 def heuristic_merge(v: np.ndarray, dets: list[Detection], params: MergerParams,
@@ -150,16 +147,14 @@ def heuristic_merge(v: np.ndarray, dets: list[Detection], params: MergerParams,
         next_instance += 1
 
     stuff_fill = v[:, :, :catalog.n_stuff].argmax(axis=2)
-    for class_id in range(catalog.n_stuff):
-        pixels = ~claimed & (stuff_fill == class_id)
-        area = int(pixels.sum())
-        if area == 0 or area < params.stuff_area_threshold:
-            continue  # sub-threshold stuff stays VOID
-        index = len(segments)
-        label[pixels] = index
-        segments.append(Segment(index=index, class_id=class_id, kind="stuff",
-                                area=area, instance_id=0))
-    return PanopticMap(label_map=label, segments=segments)
+    areas = np.bincount(stuff_fill[~claimed], minlength=catalog.n_stuff)
+    stuff_segment = np.full(catalog.n_stuff, VOID, dtype=np.int32)  # sub-threshold stays VOID
+    for class_id in np.flatnonzero(areas >= max(params.stuff_area_threshold, 1)).tolist():
+        stuff_segment[class_id] = len(segments)
+        segments.append(Segment(index=len(segments), class_id=class_id, kind="stuff",
+                                area=int(areas[class_id]), instance_id=0))
+    return PanopticMap(label_map=np.where(claimed, label, stuff_segment[stuff_fill]),
+                       segments=segments)
 
 
 def trim_small_stuff(pmap: PanopticMap, area_threshold: int) -> PanopticMap:

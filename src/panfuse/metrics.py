@@ -4,9 +4,9 @@ and box average precision.
 Panoptic quality matches predicted to ground-truth segments of the same
 class at strict mask IoU > 0.5 (which makes matches unique), excludes
 ground-truth VOID pixels from the IoU union, and exempts predictions
-lying mostly on ground-truth VOID from the false-positive count. Scene
-statistics are plain per-class counters, so accumulation over scenes is
-associative and can be reduced in any grouping order.
+lying mostly on ground-truth VOID from the false-positive count. Counters
+and pixel-count tables add across scenes, but the bits of the float
+``iou_sum`` depend on grouping, so ``eval`` merges per-scene counters in order.
 """
 
 from __future__ import annotations
@@ -101,57 +101,36 @@ class PQStats:
         return self
 
     def accumulate(self, pred: PanopticMap, gt: PanopticMap) -> "PQStats":
-        """Add one scene's matches to the counters."""
-        if pred.shape != gt.shape:
-            raise DimensionError(f"prediction grid {pred.shape} != ground truth {gt.shape}")
-        gt_label = gt.label_map
-        pred_label = pred.label_map
-        n_gt = len(gt.segments)
-        n_pred = len(pred.segments)
-        gt_class = {s.index: s.class_id for s in gt.segments}
-        pred_class = {s.index: s.class_id for s in pred.segments}
+        """Add one scene's matches to the counters; segment ``i`` has index ``i``."""
+        # Pixel count of every (gt segment, pred segment) pair; row and column 0 are VOID.
+        table = _pair_counts(gt.label_map, pred.label_map, len(gt.segments),
+                             len(pred.segments), "segment")
+        gt_area = table[1:].sum(axis=1)
+        pred_area = table[:, 1:].sum(axis=0)
+        pred_void_overlap = table[0, 1:]
+        gt_class = np.array([s.class_id for s in gt.segments], dtype=np.int64)
+        pred_class = np.array([s.class_id for s in pred.segments], dtype=np.int64)
 
-        # Pixel-count every (gt segment, pred segment) pair, VOID included.
-        code = (gt_label.astype(np.int64) + 1) * (n_pred + 1) + (pred_label + 1)
-        codes, counts = np.unique(code, return_counts=True)
-        inter: dict[tuple[int, int], int] = {}
-        gt_area = np.zeros(n_gt, dtype=np.int64)
-        pred_area = np.zeros(n_pred, dtype=np.int64)
-        pred_void_overlap = np.zeros(n_pred, dtype=np.int64)
-        for c, n in zip(codes, counts):
-            g = int(c // (n_pred + 1)) - 1
-            p = int(c % (n_pred + 1)) - 1
-            inter[(g, p)] = int(n)
-            if g >= 0:
-                gt_area[g] += n
-            if p >= 0:
-                pred_area[p] += n
-                if g < 0:
-                    pred_void_overlap[p] += n
-
-        matched_gt: set[int] = set()
-        matched_pred: set[int] = set()
-        for (g, p), n in inter.items():
-            if g < 0 or p < 0 or gt_class[g] != pred_class[p]:
-                continue
-            union = gt_area[g] + pred_area[p] - n - pred_void_overlap[p]
-            iou = n / union
-            if iou > 0.5:
-                stats = self._stats(gt_class[g])
-                stats.tp += 1
-                stats.iou_sum += iou
-                matched_gt.add(g)
-                matched_pred.add(p)
-
+        # Same-class pairs in ascending (gt, pred) order: iou_sum adds them in that order.
+        g, p = np.nonzero(table[1:, 1:])
+        same = gt_class[g] == pred_class[p]
+        g, p = g[same], p[same]
+        inter = table[g + 1, p + 1]
+        iou = inter / (gt_area[g] + pred_area[p] - inter - pred_void_overlap[p])
+        hit = iou > 0.5
+        for gi, value in zip(g[hit].tolist(), iou[hit]):
+            stats = self._stats(int(gt_class[gi]))
+            stats.tp += 1
+            stats.iou_sum += value
+        matched_gt = set(g[hit].tolist())
+        mostly_void = np.flatnonzero(2 * pred_void_overlap > pred_area)
+        no_fp = set(p[hit].tolist()) | set(mostly_void.tolist())  # VOID-heavy: exempt
         for s in gt.segments:
             if s.index not in matched_gt:
                 self._stats(s.class_id).fn += 1
         for s in pred.segments:
-            if s.index in matched_pred:
-                continue
-            if pred_area[s.index] > 0 and pred_void_overlap[s.index] / pred_area[s.index] > 0.5:
-                continue  # mostly on ground-truth VOID: exempt from FP
-            self._stats(s.class_id).fp += 1
+            if s.index not in no_fp:
+                self._stats(s.class_id).fp += 1
         return self
 
     def report(self, catalog: ClassCatalog) -> PQReport:
@@ -189,26 +168,39 @@ def panoptic_quality(pred: PanopticMap, gt: PanopticMap,
     return PQStats().accumulate(pred, gt).report(catalog)
 
 
-def mean_iou(pred_classes: np.ndarray, gt_classes: np.ndarray,
-             catalog: ClassCatalog) -> tuple[dict[int, float], float]:
-    """Per-class and mean IoU of semantic class maps (instances collapsed).
+def _pair_counts(gt: np.ndarray, pred: np.ndarray, n_gt: int, n_pred: int,
+                 what: str) -> np.ndarray:
+    """(n_gt + 1) x (n_pred + 1) pixel counts of (gt, pred) label pairs, labels
+    -1 (VOID/IGNORE, row or column 0) to n - 1; other labels are rejected."""
+    if pred.shape != gt.shape:
+        raise DimensionError(f"prediction {what} map {pred.shape} != ground truth {gt.shape}")
+    for side, labels, n in (("ground-truth", gt, n_gt), ("predicted", pred, n_pred)):
+        if labels.size and (labels.min() < -1 or labels.max() >= n):
+            raise DimensionError(f"{side} {what} map holds values outside [-1, {n})")
+    code = (gt.astype(np.int64) + 1) * (n_pred + 1) + (pred + 1)
+    counts = np.bincount(code.ravel(), minlength=(n_gt + 1) * (n_pred + 1))
+    return counts.reshape(n_gt + 1, n_pred + 1)
+
+
+def class_pixel_counts(pred_classes: np.ndarray, gt_classes: np.ndarray,
+                       catalog: ClassCatalog) -> np.ndarray:
+    """(gt class + 1) x (pred class + 1) pixel counts of two class maps; row and
+    column 0 count IGNORE/VOID, and the tables of several scenes add up."""
+    return _pair_counts(gt_classes, pred_classes, catalog.n_classes, catalog.n_classes,
+                        "class")
+
+
+def mean_iou(classes: np.ndarray, catalog: ClassCatalog) -> tuple[dict[int, float], float]:
+    """Per-class and mean IoU from a ``class_pixel_counts`` table.
 
     Ground-truth IGNORE/VOID pixels are excluded; classes absent from both
     maps are excluded from the mean.
     """
-    if pred_classes.shape != gt_classes.shape:
-        raise DimensionError(
-            f"class map shapes differ: {pred_classes.shape} vs {gt_classes.shape}"
-        )
-    valid = gt_classes >= 0
-    per_class: dict[int, float] = {}
-    for cid in range(catalog.n_classes):
-        p = (pred_classes == cid) & valid
-        g = gt_classes == cid
-        union = int((p | g).sum())
-        if union == 0:
-            continue
-        per_class[cid] = int((p & g).sum()) / union
+    inter = np.diagonal(classes)[1:]
+    # Predictions count only where the ground truth is valid (rows 1:).
+    union = classes[1:].sum(axis=1) + classes[1:, 1:].sum(axis=0) - inter
+    per_class = {cid: int(inter[cid]) / int(union[cid])
+                 for cid in range(catalog.n_classes) if union[cid] > 0}
     mean = float(np.mean(list(per_class.values()))) if per_class else 0.0
     return per_class, mean
 
@@ -236,20 +228,13 @@ class ConfusionTS:
         }
 
 
-def thing_stuff_confusion(pred_classes: np.ndarray, gt_classes: np.ndarray,
-                          catalog: ClassCatalog) -> ConfusionTS:
-    """Bucket pixels by (ground-truth kind, predicted kind)."""
-    if pred_classes.shape != gt_classes.shape:
-        raise DimensionError(
-            f"class map shapes differ: {pred_classes.shape} vs {gt_classes.shape}"
-        )
-    valid = (gt_classes >= 0) & (pred_classes >= 0)
-    gt_stuff = gt_classes < catalog.n_stuff
-    pred_stuff = pred_classes < catalog.n_stuff
+def thing_stuff_confusion(classes: np.ndarray, catalog: ClassCatalog) -> ConfusionTS:
+    """Bucket a ``class_pixel_counts`` table by (ground-truth kind, predicted kind)."""
+    things, stuff = slice(1 + catalog.n_stuff, None), slice(1, 1 + catalog.n_stuff)
     conf = ConfusionTS()
-    for gi, g_sel in enumerate((~gt_stuff, gt_stuff)):
-        for pi, p_sel in enumerate((~pred_stuff, pred_stuff)):
-            conf.counts[gi, pi] = int((valid & g_sel & p_sel).sum())
+    for gi, g_sel in enumerate((things, stuff)):
+        for pi, p_sel in enumerate((things, stuff)):
+            conf.counts[gi, pi] = int(classes[g_sel, p_sel].sum())
     return conf
 
 

@@ -12,7 +12,7 @@ from panfuse import container
 from panfuse.affinity import AffinityParams
 from panfuse.cli import main
 from panfuse.inference import load_panoptic, panoptic_from_ground_truth, save_panoptic
-from panfuse.metrics import mean_iou
+from panfuse.metrics import class_pixel_counts, mean_iou
 from panfuse.numerics import VOID
 from panfuse.potential import Variant
 from panfuse.scene import load_scene
@@ -99,7 +99,7 @@ def test_run_dump_match_and_affinity(tmp_path):
 
 @pytest.mark.parametrize("steps", ["0", "-3", "x"])
 def test_train_and_ablate_steps_usage_error(tmp_path, capsys, steps):
-    for flag in ("--steps", "--scenes", "--eval-scenes"):
+    for flag in ("--steps", "--scenes", "--eval-scenes", "--match-threshold", "--learning-rate"):
         assert run_cli("train", "--out", str(tmp_path / "t"), flag, steps) == 2
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
@@ -229,6 +229,24 @@ def test_run_on_non_finite_scene_exits_3_without_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, damage, message", [
+    ("semantic_probs.panc", lambda t: 2 * t, "normalization violated at pixel (0, 0), sum 2"),
+    ("mask_000.panc", lambda t: 5 * t, "values outside [0, 1]"),
+    ("mask_000.panc", np.ones_like, "nonzero outside its box"),
+], ids=["doubled-probs", "mask-5", "mask-outside-box"])
+def test_run_rejects_cues_that_synth_would_not_write(tmp_path, capsys, masked_scene_and_pred,
+                                                     name, damage, message):
+    scene_dir, _ = masked_scene_and_pred
+    path = scene_dir / name
+    container.write_tensor(path, damage(container.read_tensor(path)))
+    capsys.readouterr()
+    for mode in ("argmax", "heuristic"):
+        out = tmp_path / "again"
+        assert run_cli("run", "--scene", str(scene_dir), "--out", str(out), "--mode", mode) == 3
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _set(*path_and_value):
     """A manifest edit that sets the key at ``path`` to ``value``."""
     *path, key, value = path_and_value
@@ -246,7 +264,22 @@ def test_run_and_eval_reject_malformed_manifest(tmp_path, capsys, masked_scene_a
     scene_dir, pred = masked_scene_and_pred
     mpath = scene_dir / "manifest.json"
     original = mpath.read_text()
+    labels = scene_dir / "gt_labels.panc"
+    original_labels = labels.read_bytes()
     segment = ("ground_truth", "segments", 0)
+
+    def stuff_pseudo_detection(manifest):
+        manifest["detections"][0].update(class_id=0, box=[0, 0, 32, 32], score=1.0)
+        return json.dumps(manifest)
+
+    def grid_value(value):
+        def edit(manifest):
+            grid = container.read_tensor(labels)
+            grid[0, 0] = value
+            container.write_tensor(labels, grid)
+            return json.dumps(manifest)
+        return edit
+
     cases = [
         (lambda m: json.dumps({k: v for k, v in m.items() if k != "catalog"}),
          "missing key catalog"),
@@ -257,11 +290,16 @@ def test_run_and_eval_reject_malformed_manifest(tmp_path, capsys, masked_scene_a
         (_set("detections", 0, "box", [5, 5, 5, 9]),
          "key detections[0].box: box must have positive area"),
         (_set("detections", 2, "class_id", 99), "key detections[2].class_id: 99 out of range"),
-        (_set("detections", 0, "class_id", 0),
-         "key detections[0]: stuff pseudo-detection must have score 1.0"),
+        (_set("detections", 0, "class_id", 0), "key detections[0].class_id: 0 is not a thing class"),
+        (stuff_pseudo_detection, "key detections[0].class_id: 0 is not a thing class"),
         (_set(*segment, "class_id", 99), "key ground_truth.segments[0].class_id: 99 out of range"),
+        (_set(*segment, "index", 7), "key ground_truth.segments[0].index must be 0, got 7"),
+        (_set(*segment, "area", 5), "key ground_truth.segments[0].area is 5, but segment 0 has"),
+        (grid_value(99), f"key ground_truth.label_map: {labels} holds 99 at pixel (0, 0)"),
+        (grid_value(2**31), f"key ground_truth.label_map: {labels} holds 2147483648 at pixel"),
     ]
     for edit, message in cases:
+        labels.write_bytes(original_labels)
         mpath.write_text(edit(json.loads(original)))
         capsys.readouterr()
         for mode in ("argmax", "heuristic"):
@@ -291,12 +329,11 @@ def test_eval_one_with_scene_records_equals_full_load(tmp_path, monkeypatch, ext
 
     monkeypatch.setattr(cli, "load_scene_records", full_records)
     full = cli._eval_one(str(scene_dir), str(pred))
-    catalog, stats, pred_classes, gt_classes, confusion, ap = light
+    catalog, stats, classes, ap = light
     assert catalog == full[0]
     assert stats.per_class == full[1].per_class
-    assert np.array_equal(pred_classes, full[2]) and np.array_equal(gt_classes, full[3])
-    assert np.array_equal(confusion.counts, full[4].counts)
-    assert ap == full[5]
+    assert np.array_equal(classes, full[2])
+    assert ap == full[3]
 
 
 _SEGMENT = '"index": 0, "class_id": 0, "area": 4, "instance_id": 0'
@@ -407,6 +444,15 @@ def test_run_and_eval_usage_errors_exit_2_before_writing(tmp_path, capsys,
     assert run_cli("run", *scene, "--out", str(out_a), "--out", str(out_b)) == 2
     assert run_cli("run", *scene, "--out", str(out_a), "--dump-affinity", "1,1") == 2
     assert "--dump-affinity needs --checkpoint" in capsys.readouterr().err
+    for args in (["--dump-match", "--match-threshold", "1.5"],
+                 ["--match-threshold", "0"],
+                 ["--score-threshold", "1.5"],
+                 ["--score-threshold", "nan"],
+                 ["--mode", "heuristic", "--merger-score", "1.5"],
+                 ["--mode", "heuristic", "--merger-overlap", "-0.1"],
+                 ["--mode", "heuristic", "--merger-stuff-area", "-1"]):
+        assert run_cli("run", *scene, "--out", str(out_a), *args) == 2, args
+        assert f"argument {args[-2]}: must be " in capsys.readouterr().err
     assert not out_a.exists() and not out_b.exists()
     assert run_cli("eval", *scene, *scene, "--pred", str(pred), "--json", str(report)) == 2
     assert "got 2 --scene but 1 --pred" in capsys.readouterr().err
@@ -469,9 +515,26 @@ def test_run_and_eval_over_several_scenes_equal_single_scene_runs(tmp_path, caps
         _, gt = load_scene(scene_dir)
         pred_classes.append(load_panoptic(out).class_map().ravel())
         gt_classes.append(panoptic_from_ground_truth(gt, scene.catalog).class_map().ravel())
-    _, miou = mean_iou(np.concatenate(pred_classes), np.concatenate(gt_classes),
+    _, miou = mean_iou(class_pixel_counts(np.concatenate(pred_classes),
+                                          np.concatenate(gt_classes), scene.catalog),
                        scene.catalog)
     assert merged["mean_iou"] == miou
+
+
+def test_eval_rejects_scenes_with_different_catalogs(tmp_path, capsys):
+    scenes = [tmp_path / "scene_a", tmp_path / "scene_b"]
+    assert run_cli(*synth_args(scenes[0])) == 0
+    assert run_cli(*synth_args(scenes[1], extra=["--n-stuff", "5", "--n-thing", "2"])) == 0
+    argv = ["eval", "--json", str(tmp_path / "eval.json")]
+    for i, scene_dir in enumerate(scenes):
+        pred = tmp_path / f"pred{i}"
+        assert run_cli("run", "--scene", str(scene_dir), "--out", str(pred)) == 0
+        argv += ["--scene", str(scene_dir), "--pred", str(pred)]
+    capsys.readouterr()
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert f"scene {scenes[1]} has catalog" in err and f"scene {scenes[0]} has" in err
+    assert not (tmp_path / "eval.json").exists()
 
 
 def test_run_stops_at_a_damaged_scene(tmp_path, capsys, three_scenes):

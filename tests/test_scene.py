@@ -344,6 +344,14 @@ def test_load_rejects_non_finite_mask(saved_scene):
         load_scene(saved_scene)
 
 
+def test_load_rejects_ground_truth_grid_that_is_not_u32(saved_scene):
+    path = saved_scene / "gt_labels.panc"
+    write_tensor(path, read_tensor(path).astype(np.float64))
+    for load in (load_scene, load_scene_records):
+        with pytest.raises(FormatError, match=f"{path}: ground-truth grid has dtype float64"):
+            load(saved_scene)
+
+
 def test_scene_records_match_full_load(saved_scene):
     scene, gt = load_scene(saved_scene)
     catalog, detections, gt_records = load_scene_records(saved_scene)
