@@ -10,18 +10,18 @@ path is compared against, so all of its knobs are exposed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import count
 from pathlib import Path
 
 import numpy as np
 
 from . import container
 from .errors import CueError, DimensionError, FormatError
-from .numerics import VOID, argmax_channels, require_tensor3
+from .numerics import SENTINEL_U32, VOID, argmax_channels, require_tensor3
 from .potential import ChannelInfo
 from .scene import ClassCatalog, Detection, GroundTruthPanoptic
 
-_VOID_U32 = 0xFFFFFFFF
 _INSTANCE_ENCODING_BASE = 1000
 
 
@@ -54,7 +54,7 @@ class PanopticMap:
         lut = np.full(len(self.segments) + 1, VOID, dtype=np.int32)
         for s in self.segments:
             lut[s.index] = s.class_id
-        return lut[np.where(self.label_map == VOID, len(self.segments), self.label_map)]
+        return lut[self.label_map]
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,15 @@ class MergerParams:
             raise CueError("stuff_area_threshold must be >= 0")
 
 
+def _numbered(parts: list[tuple[int, str, int]]) -> list[Segment]:
+    """Segments from (class_id, kind, area) in segment order; things get
+    instance ids 1, 2, ... in that order and stuff gets 0."""
+    thing_ids = count(1)
+    return [Segment(index=i, class_id=class_id, kind=kind, area=area,
+                    instance_id=next(thing_ids) if kind == "thing" else 0)
+            for i, (class_id, kind, area) in enumerate(parts)]
+
+
 def infer_panoptic(p: np.ndarray, channel_meta: list[ChannelInfo]) -> PanopticMap:
     """Per-pixel channel argmax collapsed to (class, instance) segments.
 
@@ -85,19 +94,11 @@ def infer_panoptic(p: np.ndarray, channel_meta: list[ChannelInfo]) -> PanopticMa
         )
     winners = argmax_channels(p)
     areas = np.bincount(winners.ravel(), minlength=len(channel_meta))
+    won = np.flatnonzero(areas)  # segments and instance ids follow channel order
     segment_of = np.full(len(channel_meta), VOID, dtype=np.int32)
-    segments: list[Segment] = []
-    next_instance = 1
-    for k in np.flatnonzero(areas).tolist():
-        info = channel_meta[k]
-        if info.kind == "thing":
-            instance_id = next_instance  # ids follow the order of winning channels
-            next_instance += 1
-        else:
-            instance_id = 0
-        segment_of[k] = len(segments)
-        segments.append(Segment(index=len(segments), class_id=info.class_id, kind=info.kind,
-                                area=int(areas[k]), instance_id=instance_id))
+    segment_of[won] = np.arange(len(won))
+    segments = _numbered([(channel_meta[k].class_id, channel_meta[k].kind, int(areas[k]))
+                          for k in won.tolist()])
     return PanopticMap(label_map=segment_of[winners], segments=segments)
 
 
@@ -127,8 +128,7 @@ def heuristic_merge(v: np.ndarray, dets: list[Detection], params: MergerParams,
     order = sorted(things, key=lambda item: (-item[1].score, item[0]))
     claimed = np.zeros((h, w), dtype=bool)
     label = np.full((h, w), VOID, dtype=np.int32)
-    segments: list[Segment] = []
-    next_instance = 1
+    parts: list[tuple[int, str, int]] = []
     for _, det in order:
         if det.score < params.instance_score_threshold:
             continue
@@ -139,56 +139,43 @@ def heuristic_merge(v: np.ndarray, dets: list[Detection], params: MergerParams,
         remaining = mask & ~claimed
         if remaining.sum() / original < 1.0 - params.overlap_threshold:
             continue
-        index = len(segments)
-        label[remaining] = index
+        label[remaining] = len(parts)
         claimed |= remaining
-        segments.append(Segment(index=index, class_id=det.class_id, kind="thing",
-                                area=int(remaining.sum()), instance_id=next_instance))
-        next_instance += 1
+        parts.append((det.class_id, "thing", int(remaining.sum())))
 
     stuff_fill = v[:, :, :catalog.n_stuff].argmax(axis=2)
     areas = np.bincount(stuff_fill[~claimed], minlength=catalog.n_stuff)
     stuff_segment = np.full(catalog.n_stuff, VOID, dtype=np.int32)  # sub-threshold stays VOID
     for class_id in np.flatnonzero(areas >= max(params.stuff_area_threshold, 1)).tolist():
-        stuff_segment[class_id] = len(segments)
-        segments.append(Segment(index=len(segments), class_id=class_id, kind="stuff",
-                                area=int(areas[class_id]), instance_id=0))
+        stuff_segment[class_id] = len(parts)
+        parts.append((class_id, "stuff", int(areas[class_id])))
     return PanopticMap(label_map=np.where(claimed, label, stuff_segment[stuff_fill]),
-                       segments=segments)
+                       segments=_numbered(parts))
 
 
 def trim_small_stuff(pmap: PanopticMap, area_threshold: int) -> PanopticMap:
     """Relabel stuff segments below the area threshold to VOID.
 
-    Thing segments are untouched; the segment list is rebuilt with compact
-    indices. Idempotent: a second application changes nothing.
+    Thing segments are untouched; the kept segments get compact indices
+    and keep their instance ids. Idempotent: a second application changes
+    nothing.
     """
     keep = [s for s in pmap.segments
             if s.kind == "thing" or s.area >= area_threshold]
     lut = np.full(len(pmap.segments) + 1, VOID, dtype=np.int32)
-    segments: list[Segment] = []
-    for s in keep:
-        lut[s.index] = len(segments)
-        segments.append(Segment(index=len(segments), class_id=s.class_id,
-                                kind=s.kind, area=s.area, instance_id=s.instance_id))
-    label = lut[np.where(pmap.label_map == VOID, len(pmap.segments), pmap.label_map)]
-    return PanopticMap(label_map=label, segments=segments)
+    for index, s in enumerate(keep):
+        lut[s.index] = index
+    return PanopticMap(label_map=lut[pmap.label_map],
+                       segments=[replace(s, index=i) for i, s in enumerate(keep)])
 
 
 def panoptic_from_ground_truth(gt: GroundTruthPanoptic,
                                catalog: ClassCatalog) -> PanopticMap:
-    """View ground truth as a PanopticMap for the metric suite."""
-    segments = []
-    next_instance = 1
-    for s in gt.segments:
-        if catalog.is_thing(s.class_id):
-            kind, instance_id = "thing", next_instance
-            next_instance += 1
-        else:
-            kind, instance_id = "stuff", 0
-        segments.append(Segment(index=s.index, class_id=s.class_id, kind=kind,
-                                area=s.area, instance_id=instance_id))
-    return PanopticMap(label_map=gt.label_map.copy(), segments=segments)
+    """View ground truth as a PanopticMap for the metric suite; segment ``i``
+    has index ``i``, as both loaders require."""
+    parts = [(s.class_id, "thing" if catalog.is_thing(s.class_id) else "stuff", s.area)
+             for s in gt.segments]
+    return PanopticMap(label_map=gt.label_map.copy(), segments=_numbered(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +185,14 @@ def panoptic_from_ground_truth(gt: GroundTruthPanoptic,
 def save_panoptic(pmap: PanopticMap, path: str | Path) -> None:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    encode = np.full(len(pmap.segments) + 1, _VOID_U32, dtype=np.uint32)
+    encode = np.full(len(pmap.segments) + 1, SENTINEL_U32, dtype=np.uint32)
     for s in pmap.segments:
         if s.instance_id >= _INSTANCE_ENCODING_BASE:
             raise FormatError(
                 f"instance id {s.instance_id} exceeds the u32 encoding base"
             )
         encode[s.index] = s.encoded_id
-    grid = encode[np.where(pmap.label_map == VOID, len(pmap.segments), pmap.label_map)]
-    container.write_tensor(root / "panoptic.panc", grid)
+    container.write_tensor(root / "panoptic.panc", encode[pmap.label_map])
     sidecar = {
         "format": "panfuse-panoptic",
         "version": 1,
@@ -243,7 +229,7 @@ def load_panoptic(path: str | Path) -> PanopticMap:
     # ``return_inverse`` would argsort the grid; a search of the sorted
     # unique ids gives the same inverse at a fifth of the cost.
     encoded, counts = np.unique(grid, return_counts=True)
-    decode = {_VOID_U32: VOID}
+    decode = {SENTINEL_U32: VOID}
     decode.update((s.encoded_id, s.index) for s in segments)
     try:
         lut = np.array([decode[e] for e in encoded.tolist()], dtype=np.int32)

@@ -148,24 +148,16 @@ def build_target_map(gt: GroundTruthPanoptic, match: MatchResult,
     stay IGNORE and contribute no gradient downstream.
     """
     channel_by_det = {info.detection_index: k for k, info in enumerate(channel_meta)}
-    det_for_gt = match.detection_for_gt()
-
-    seg_channel = {}
-    for seg_index, det_index in det_for_gt.items():
+    n_segments = max((s.index for s in gt.segments), default=-1) + 1
+    lut = np.full(n_segments + 1, IGNORE, dtype=np.int32)
+    for seg_index, det_index in match.detection_for_gt().items():
         if det_index not in channel_by_det:
             raise PanfuseError(
                 f"match pairs ground-truth segment {seg_index} with detection "
                 f"{det_index}, which has no channel (removed?)"
             )
-        seg_channel[seg_index] = channel_by_det[det_index]
-
-    n_segments = max((s.index for s in gt.segments), default=-1) + 1
-    lut = np.full(n_segments + 1, IGNORE, dtype=np.int32)  # last slot = IGNORE
-    for seg_index, channel in seg_channel.items():
-        lut[seg_index] = channel
-    label = gt.label_map
-    target = lut[np.where(label == IGNORE, n_segments, label)]
-    return TargetMap(label_map=target)
+        lut[seg_index] = channel_by_det[det_index]
+    return TargetMap(label_map=lut[gt.label_map])
 
 
 def panoptic_matching_loss(p: np.ndarray, target: TargetMap) -> tuple[float, np.ndarray]:

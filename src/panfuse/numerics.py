@@ -7,8 +7,10 @@ Conventions
   cost/bench parity).
 * ``Matrix`` is a 2-D numpy array; flattened image-plane views have one
   row per pixel.
-* ``LabelMap`` is a 2-D int32 array of per-pixel indices; negative values
-  are sentinels (``IGNORE`` for loss targets, ``VOID`` for panoptic maps).
+* ``LabelMap`` is a 2-D int32 array of per-pixel indices; -1 is the
+  sentinel (``IGNORE`` for loss targets, ``VOID`` for panoptic maps).
+  A relabel indexes a lookup table of n + 1 slots with the map directly,
+  so -1 reads the last slot, which holds the sentinel's image.
 
 All functions are pure and never mutate their inputs; repeated calls with
 identical inputs are bit-reproducible on the same build.
@@ -26,6 +28,8 @@ DEFAULT_DTYPE = np.float64
 IGNORE = -1
 # Sentinel for pixels left unassigned in a panoptic output.
 VOID = -1
+# Either sentinel as stored in a u32 grid on disk: the bits of int32 -1.
+SENTINEL_U32 = 0xFFFFFFFF
 
 
 def require_tensor3(t: np.ndarray, name: str = "tensor") -> np.ndarray:

@@ -21,8 +21,6 @@ from . import container
 from .errors import DimensionError, FormatError, GenerationError
 from .numerics import DEFAULT_DTYPE, IGNORE
 
-_LABEL_SENTINEL_U32 = 0xFFFFFFFF
-
 
 @dataclass(frozen=True)
 class ClassCatalog:
@@ -484,9 +482,9 @@ def save_scene(scene: SceneCues, path: str | Path,
         "synth": synth.to_dict() if synth is not None else None,
     }
     if gt is not None:
-        grid = gt.label_map.astype(np.int64)
-        u32 = np.where(grid == IGNORE, _LABEL_SENTINEL_U32, grid).astype(np.uint32)
-        container.write_tensor(root / "gt_labels.panc", u32)
+        # IGNORE (-1) is stored as SENTINEL_U32; the loader views it back.
+        container.write_tensor(root / "gt_labels.panc",
+                               gt.label_map.astype(np.int32, copy=False).view(np.uint32))
         manifest["ground_truth"] = {
             "label_map": "gt_labels.panc",
             "segments": [
