@@ -60,7 +60,9 @@ def _bounded(kind: type, low: float, high: float | None = None, low_open: bool =
 
 
 _positive_int = _bounded(int, 1)
-_fraction = _bounded(float, 0, 1)  # score and merger thresholds
+_count = _bounded(int, 0)  # seeds, areas and trims
+_non_negative = _bounded(float, 0)
+_fraction = _bounded(float, 0, 1)  # thresholds and rates
 _match_threshold = _bounded(float, 0, 1, low_open=True)
 
 
@@ -74,7 +76,7 @@ def _pixel(text: str) -> tuple[int, int]:
 
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--height", type=int, default=32)
     p.add_argument("--width", type=int, default=32)
     p.add_argument("--n-stuff", type=int, default=3)
@@ -82,12 +84,12 @@ def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instances", type=int, default=3)
     p.add_argument("--stuff-segments", type=int, default=3)
     p.add_argument("--truncation", type=float, default=0.0)
-    p.add_argument("--jitter", type=float, default=0.0)
+    p.add_argument("--jitter", type=_non_negative, default=0.0)
     p.add_argument("--confusion", type=float, default=0.0)
-    p.add_argument("--feature-noise", type=float, default=0.1)
-    p.add_argument("--feature-dim", type=int, default=16)
+    p.add_argument("--feature-noise", type=_non_negative, default=0.1)
+    p.add_argument("--feature-dim", type=_positive_int, default=16)
     p.add_argument("--with-masks", action="store_true")
-    p.add_argument("--mask-noise", type=float, default=0.0)
+    p.add_argument("--mask-noise", type=_fraction, default=0.0)
 
 
 def _synth_config(args: argparse.Namespace) -> SynthConfig:
@@ -326,10 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--score-threshold", type=_fraction, default=0.5)
     p.add_argument("--match-threshold", type=_match_threshold, default=0.5)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--trim", type=int, default=0)
+    p.add_argument("--trim", type=_count, default=0)
     p.add_argument("--merger-score", type=_fraction, default=0.5)
     p.add_argument("--merger-overlap", type=_fraction, default=0.5)
-    p.add_argument("--merger-stuff-area", type=_bounded(int, 0), default=64)
+    p.add_argument("--merger-stuff-area", type=_count, default=64)
     p.add_argument("--dump-match", action="store_true")
     p.add_argument("--dump-affinity", type=_pixel, default=None, metavar="ROW,COL")
     p.set_defaults(func=cmd_run)
@@ -370,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=["affinity", "detections", "variants"],
                    required=True)
     p.add_argument("--steps", type=_positive_int, default=40000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_ablate)
     return parser

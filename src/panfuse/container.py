@@ -129,7 +129,8 @@ def read_tensor(path: str | Path) -> np.ndarray:
 
 
 def read_manifest(path: Path, fmt: str, what: str) -> dict:
-    """Parse a JSON manifest that must be an object whose ``format`` is ``fmt``.
+    """Parse a JSON manifest that must be an object whose ``format`` is ``fmt``
+    and whose ``version``, if present, is 1.
 
     ``what`` names the manifest kind in errors, with its article.
     """
@@ -143,6 +144,9 @@ def read_manifest(path: Path, fmt: str, what: str) -> dict:
         raise FormatError(f"{path}: expected a JSON object, got {_json_kind(manifest)}")
     if manifest.get("format") != fmt:
         raise FormatError(f"{path} is not {what} manifest")
+    version = manifest.get("version", 1)
+    if type(version) is not int or version != 1:
+        raise FormatError(f"{path}: key version must be 1, got {json.dumps(version)}")
     return manifest
 
 

@@ -5,8 +5,7 @@ Panoptic quality matches predicted to ground-truth segments of the same
 class at strict mask IoU > 0.5 (which makes matches unique), excludes
 ground-truth VOID pixels from the IoU union, and exempts predictions
 lying mostly on ground-truth VOID from the false-positive count. Counters
-and pixel-count tables add across scenes, but the bits of the float
-``iou_sum`` depend on grouping, so ``eval`` merges per-scene counters in order.
+and pixel-count tables add across scenes.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .inference import PanopticMap
+from .matching import box_iou
 from .scene import Box, ClassCatalog, Detection
 
 AP_IOU_THRESHOLDS = [0.5 + 0.05 * i for i in range(10)]
@@ -101,7 +101,12 @@ class PQStats:
         return self
 
     def accumulate(self, pred: PanopticMap, gt: PanopticMap) -> "PQStats":
-        """Add one scene's matches to the counters; segment ``i`` has index ``i``."""
+        """Add one scene's matches to the counters; segment ``i`` has index ``i``.
+
+        The scene is counted on its own and then merged, so the float
+        ``iou_sum`` gets the same bits however the scenes are grouped.
+        """
+        scene = PQStats()
         # Pixel count of every (gt segment, pred segment) pair; row and column 0 are VOID.
         table = _pair_counts(gt.label_map, pred.label_map, len(gt.segments),
                              len(pred.segments), "segment")
@@ -119,7 +124,7 @@ class PQStats:
         iou = inter / (gt_area[g] + pred_area[p] - inter - pred_void_overlap[p])
         hit = iou > 0.5
         for gi, value in zip(g[hit].tolist(), iou[hit]):
-            stats = self._stats(int(gt_class[gi]))
+            stats = scene._stats(int(gt_class[gi]))
             stats.tp += 1
             stats.iou_sum += value
         matched_gt = set(g[hit].tolist())
@@ -127,11 +132,11 @@ class PQStats:
         no_fp = set(p[hit].tolist()) | set(mostly_void.tolist())  # VOID-heavy: exempt
         for s in gt.segments:
             if s.index not in matched_gt:
-                self._stats(s.class_id).fn += 1
+                scene._stats(s.class_id).fn += 1
         for s in pred.segments:
             if s.index not in no_fp:
-                self._stats(s.class_id).fp += 1
-        return self
+                scene._stats(s.class_id).fp += 1
+        return self.merge(scene)
 
     def report(self, catalog: ClassCatalog) -> PQReport:
         per_class: dict[int, ClassReport] = {}
@@ -247,8 +252,6 @@ def box_average_precision(dets: list[Detection],
     recall curve is integrated with all-point interpolation. Classes
     without ground truth are excluded.
     """
-    from .matching import box_iou  # local import to avoid a cycle
-
     classes = sorted({cid for cid, _ in gt_boxes})
     if not classes:
         return 0.0

@@ -182,8 +182,13 @@ class SynthConfig:
             raise GenerationError("box_truncation must be in [0, 1)")
         if not (0.0 <= self.confusion_rate < 1.0):
             raise GenerationError("confusion_rate must be in [0, 1)")
-        if self.box_jitter < 0 or self.feature_noise < 0 or self.mask_noise < 0:
-            raise GenerationError("noise rates must be non-negative")
+        # Written so that NaN fails every check.
+        if not (0.0 <= self.box_jitter < np.inf and 0.0 <= self.feature_noise < np.inf):
+            raise GenerationError("box_jitter and feature_noise must be finite and >= 0")
+        if not (0.0 <= self.mask_noise <= 1.0):
+            raise GenerationError("mask_noise must be in [0, 1]")
+        if self.feature_dim < 1:
+            raise GenerationError(f"feature_dim must be >= 1, got {self.feature_dim}")
         if self.n_instances < 0 or self.n_stuff < 1 or self.n_thing < 1:
             raise GenerationError("need n_stuff >= 1, n_thing >= 1, n_instances >= 0")
         if not (1 <= self.instance_min <= self.instance_max):
@@ -232,6 +237,8 @@ def synth_scene(cfg: SynthConfig, seed: int) -> tuple[SceneCues, GroundTruthPano
     truncation and jitter, with scores in [0.6, 1.0].
     """
     cfg.validate()
+    if seed < 0:
+        raise GenerationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     h, w = cfg.height, cfg.width
     catalog = ClassCatalog(cfg.n_stuff, cfg.n_thing)
@@ -435,6 +442,7 @@ def validate_scene(scene: SceneCues) -> list[str]:
             if det.mask.shape != (h, w):
                 violations.append(f"detections[{i}].mask: shape {det.mask.shape} != {(h, w)}")
                 continue
+            violations += _non_finite(f"detections[{i}].mask", det.mask[..., None])
             violations += _mask_violations(f"detections[{i}].mask", det.mask, det.box)
     return violations
 

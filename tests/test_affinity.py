@@ -296,6 +296,8 @@ def _checkpoint(tmp_path):
      "{mpath}: missing key tensors.b0"),
     ('{"format": "panfuse-affinity-params", "tensors": {"w0": 1}}',
      "{mpath}: key tensors.w0 must be a string, got an integer"),
+    ('{"format": "panfuse-affinity-params", "version": "1"}',
+     '{mpath}: key version must be 1, got "1"'),
 ])
 def test_params_load_schema_errors(tmp_path, manifest, message):
     root, mpath = _checkpoint(tmp_path)

@@ -15,8 +15,8 @@ from panfuse.inference import load_panoptic, panoptic_from_ground_truth, save_pa
 from panfuse.metrics import class_pixel_counts, mean_iou
 from panfuse.numerics import VOID
 from panfuse.potential import Variant
-from panfuse.scene import load_scene
-from panfuse.train import predict_panoptic
+from panfuse.scene import SynthConfig, load_scene, save_scene
+from panfuse.train import TrainConfig, make_eval_pool, predict_panoptic
 
 
 def run_cli(*args):
@@ -99,12 +99,29 @@ def test_run_dump_match_and_affinity(tmp_path):
 
 @pytest.mark.parametrize("steps", ["0", "-3", "x"])
 def test_train_and_ablate_steps_usage_error(tmp_path, capsys, steps):
-    for flag in ("--steps", "--scenes", "--eval-scenes", "--match-threshold", "--learning-rate"):
+    for flag in ("--steps", "--scenes", "--eval-scenes", "--match-threshold", "--learning-rate",
+                 "--feature-dim"):
         assert run_cli("train", "--out", str(tmp_path / "t"), flag, steps) == 2
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
     assert run_cli("ablate", "--preset", "affinity", "--steps", steps) == 2
     assert "--steps" in capsys.readouterr().err
+    assert run_cli("ablate", "--preset", "affinity", "--seed", "-1") == 2
+    assert "argument --seed: must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "-1"), ("--feature-dim", "0"), ("--feature-dim", "-1"),
+    ("--jitter", "nan"), ("--jitter", "inf"), ("--jitter", "-1"),
+    ("--feature-noise", "nan"), ("--feature-noise", "-0.5"),
+    ("--mask-noise", "nan"), ("--mask-noise", "5"), ("--mask-noise", "-0.1"),
+])
+def test_synth_and_train_flag_ranges_usage_error(tmp_path, capsys, flag, value):
+    for command in ("synth", "train"):
+        out = tmp_path / command
+        assert run_cli(command, "--out", str(out), "--with-masks", flag, value) == 2
+        assert f"argument {flag}: must be " in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture
@@ -373,8 +390,11 @@ def _stuff_as_class_99(sidecar, pred):
     (_set("segments", 1, "area", 5), "{spath}: key segments[1].area is 5, but segment 1 has"),
     (_first_thing_as_stuff, "].kind is 'stuff', but class "),
     (_stuff_as_class_99, "{spath}: key segments[0].class_id: 99 is outside the catalog"),
+    (lambda *_: '{"format": "panfuse-panoptic", "version": 2, "segments": []}',
+     "{spath}: key version must be 1, got 2"),
 ], ids=["list", "bad-json", "no-segments", "no-kind", "not-an-object", "kind-integer",
-        "index-out-of-place", "kind-banana", "area-off", "thing-as-stuff", "class-99"])
+        "index-out-of-place", "kind-banana", "area-off", "thing-as-stuff", "class-99",
+        "version-2"])
 def test_eval_rejects_damaged_sidecar(capsys, masked_scene_and_pred, edit, message):
     scene_dir, pred = masked_scene_and_pred
     spath = pred / "segments.json"
@@ -450,7 +470,8 @@ def test_run_and_eval_usage_errors_exit_2_before_writing(tmp_path, capsys,
                  ["--score-threshold", "nan"],
                  ["--mode", "heuristic", "--merger-score", "1.5"],
                  ["--mode", "heuristic", "--merger-overlap", "-0.1"],
-                 ["--mode", "heuristic", "--merger-stuff-area", "-1"]):
+                 ["--mode", "heuristic", "--merger-stuff-area", "-1"],
+                 ["--trim", "-5"]):
         assert run_cli("run", *scene, "--out", str(out_a), *args) == 2, args
         assert f"argument {args[-2]}: must be " in capsys.readouterr().err
     assert not out_a.exists() and not out_b.exists()
@@ -550,3 +571,23 @@ def test_run_stops_at_a_damaged_scene(tmp_path, capsys, three_scenes):
     assert captured.out == ""
     assert (outs[0] / "panoptic.panc").exists()
     assert not outs[1].exists() and not outs[2].exists()
+
+
+def test_train_held_out_pq_equals_eval_of_the_same_predictions(tmp_path):
+    # At seed 5, one running iou_sum over all held-out scenes once differed in
+    # the last bit from eval's scene-by-scene sum (class 4).
+    assert run_cli("train", "--out", str(tmp_path / "train"), "--steps", "200",
+                   "--seed", "5", "--scenes", "8", "--match-threshold", "0.4",
+                   "--truncation", "0.3", "--confusion", "0.1", "--with-masks") == 0
+    cfg = TrainConfig(steps=200, seed=5, scenes=8, match_threshold=0.4,
+                      scene=SynthConfig(box_truncation=0.3, confusion_rate=0.1,
+                                        with_masks=True))
+    run = ["run", "--checkpoint", str(tmp_path / "train" / "checkpoint")]
+    evaluate = ["eval", "--json", str(tmp_path / "eval.json")]
+    for i, (scene, gt) in enumerate(make_eval_pool(cfg)):
+        save_scene(scene, tmp_path / f"scene{i}", gt=gt)
+        run += ["--scene", str(tmp_path / f"scene{i}"), "--out", str(tmp_path / f"pred{i}")]
+        evaluate += ["--scene", str(tmp_path / f"scene{i}"), "--pred", str(tmp_path / f"pred{i}")]
+    assert run_cli(*run) == 0 and run_cli(*evaluate) == 0
+    report = json.loads((tmp_path / "train" / "report.json").read_text())
+    assert json.loads((tmp_path / "eval.json").read_text())["pq"] == report["final_pq"]

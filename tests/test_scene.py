@@ -1,13 +1,19 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from panfuse.container import TensorHeader, read_header, read_tensor, write_tensor
 from panfuse.errors import FormatError, GenerationError
+from panfuse.inference import panoptic_from_ground_truth
+from panfuse.matching import build_target_map, match_segments
+from panfuse.numerics import IGNORE, SENTINEL_U32
+from panfuse.potential import Variant, append_stuff_boxes, build_potential
 from panfuse.scene import (
     Box,
+    GroundTruthPanoptic,
     SynthConfig,
     load_scene,
     load_scene_records,
@@ -106,6 +112,22 @@ def test_generation_error_when_unplaceable():
         synth_scene(cfg, seed=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("feature_dim", 0), ("feature_dim", -1),
+    ("box_jitter", np.nan), ("box_jitter", np.inf), ("box_jitter", -1.0),
+    ("feature_noise", np.nan), ("feature_noise", np.inf),
+    ("mask_noise", np.nan), ("mask_noise", 5.0), ("mask_noise", -0.1),
+])
+def test_synth_config_rejects_out_of_range_knobs(field, value):
+    with pytest.raises(GenerationError, match=field):
+        synth_scene(SynthConfig(with_masks=True, **{field: value}), seed=0)
+
+
+def test_synth_scene_rejects_negative_seed():
+    with pytest.raises(GenerationError, match="seed must be >= 0, got -1"):
+        synth_scene(SynthConfig(), seed=-1)
+
+
 def test_masks_confined_to_box_and_instance():
     cfg = SynthConfig(with_masks=True, box_truncation=0.3)
     scene, gt = synth_scene(cfg, seed=4)
@@ -126,10 +148,16 @@ def test_validate_reports_bad_normalization():
     assert "normalization" in violations[0]
 
 
-@pytest.mark.parametrize("array", ["semantic_probs", "features"])
+@pytest.mark.parametrize("array", ["semantic_probs", "features", "mask"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_validate_reports_non_finite(array, value):
-    scene, _ = synth_scene(SynthConfig(), seed=1)
+    scene, _ = synth_scene(SynthConfig(with_masks=array == "mask"), seed=1)
+    if array == "mask":  # a value inside the box, where masks may be nonzero
+        b = scene.detections[1].box
+        scene.detections[1].mask[b.y0 + 1, b.x0] = value
+        message = f"detections[1].mask: non-finite value at pixel ({b.y0 + 1}, {b.x0})"
+        assert message in validate_scene(scene)
+        return
     getattr(scene, array)[2, 5, 1] = value
     getattr(scene, array)[7, 0, 0] = value
     violations = validate_scene(scene)
@@ -302,6 +330,7 @@ def _delete(key):
     (_set(["ground_truth", "segments", 1, "area"], 2.5),
      "key ground_truth.segments[1].area must be an integer, got a number"),
     (_set(["ground_truth"], "gt_labels.panc"), "key ground_truth must be an object, got a string"),
+    (_set(["version"], 2), "key version must be 1, got 2"),
 ])
 def test_manifest_schema_errors_name_file_and_key(saved_scene, edit, message):
     mpath = _edit_manifest(saved_scene, edit)
@@ -378,3 +407,27 @@ def test_scene_records_check_cue_files_like_full_load(saved_scene, damage, name)
     with pytest.raises(FormatError) as records:
         load_scene_records(saved_scene)
     assert str(records.value) == str(full.value)
+
+
+def test_ignore_pixels_are_stored_as_the_u32_sentinel_and_stay_ignore(tmp_path):
+    scene, gt = synth_scene(SynthConfig(), seed=2)
+    ignore = np.zeros(gt.label_map.shape, dtype=bool)
+    ignore[0, :5] = True
+    ignore[10:12, 7] = True
+    label = np.where(ignore, IGNORE, gt.label_map).astype(np.int32)
+    areas = np.bincount(label[~ignore], minlength=len(gt.segments))
+    segments = [replace(s, area=int(a)) for s, a in zip(gt.segments, areas)]
+    save_scene(scene, tmp_path, gt=GroundTruthPanoptic(label, segments))
+
+    stored = read_tensor(tmp_path / "gt_labels.panc")
+    assert np.array_equal(stored == SENTINEL_U32, ignore)
+    _, loaded = load_scene(tmp_path)
+    assert np.array_equal(loaded.label_map, label)
+
+    classes = panoptic_from_ground_truth(loaded, scene.catalog).class_map()
+    assert np.array_equal(classes == IGNORE, ignore)
+    dets = append_stuff_boxes(scene.detections, scene.catalog, scene.height, scene.width)
+    match = match_segments(loaded, dets, 0.5, scene.catalog)
+    potential = build_potential(scene.semantic_probs, dets, Variant.B, scene.catalog)
+    target = build_target_map(loaded, match, potential.channels)
+    assert (target.label_map[ignore] == IGNORE).all()
