@@ -416,35 +416,57 @@ def _detection_violations(det: Detection, catalog: ClassCatalog,
     return violations
 
 
-def validate_scene(scene: SceneCues) -> list[str]:
-    """Check scene invariants; returns one message per violation."""
-    violations: list[str] = []
-    v = scene.semantic_probs
-    if v.ndim != 3:
-        return [f"semantic_probs: expected rank 3, got shape {v.shape}"]
-    h, w, c = v.shape
-    if c != scene.catalog.n_classes:
-        violations.append(
-            f"semantic_probs: {c} channels but catalog has {scene.catalog.n_classes} classes"
-        )
-    violations += _non_finite("semantic_probs", v)
-    violations += _normalization_violations("semantic_probs", v)
-    if scene.features.ndim != 3 or scene.features.shape[:2] != (h, w):
-        violations.append(
-            f"features: grid {scene.features.shape[:2]} does not match semantic_probs {(h, w)}"
-        )
-    else:
-        violations += _non_finite("features", scene.features)
-    for i, det in enumerate(scene.detections):
-        violations += [f"detections[{i}]{v}"
-                       for v in _detection_violations(det, scene.catalog, h, w)]
-        if det.mask is not None:
-            if det.mask.shape != (h, w):
-                violations.append(f"detections[{i}].mask: shape {det.mask.shape} != {(h, w)}")
-                continue
-            violations += _non_finite(f"detections[{i}].mask", det.mask[..., None])
-            violations += _mask_violations(f"detections[{i}].mask", det.mask, det.box)
+def _shape_violations(catalog: ClassCatalog, grid: tuple, v, features, masks,
+                      names: list) -> list[str]:
+    """Violations of the cue shapes on the ``grid`` (height, width).
+
+    Only ``.shape`` is read, so the cues may be arrays or
+    ``container.TensorHeader``s. ``names`` holds the display names of ``v``,
+    ``features`` and each mask; a None mask is absent.
+    """
+    c = features.shape[2] if len(features.shape) == 3 else "c"  # features take any width
+    rules = [(v, grid + (catalog.n_classes,)), (features, grid + (c,))]
+    rules += [(mask, grid) for mask in masks]
+    return [f"{name}: shape {t.shape}, expected ({', '.join(map(str, expected))})"
+            for (t, expected), name in zip(rules, names)
+            if t is not None and t.shape != expected]
+
+
+def _value_violations(v: np.ndarray, features: np.ndarray, detections: list[Detection],
+                      masks: list, names: list) -> list[str]:
+    """Violations of the cue values, for cues whose shapes are right.
+
+    ``names`` is as for ``_shape_violations``; ``masks[i]`` belongs to
+    ``detections[i]``.
+    """
+    violations = _non_finite(names[0], v) + _normalization_violations(names[0], v)
+    violations += _non_finite(names[1], features)
+    for det, mask, name in zip(detections, masks, names[2:]):
+        if mask is not None:
+            violations += _non_finite(name, mask[..., None])
+            violations += _mask_violations(name, mask, det.box)
     return violations
+
+
+def validate_scene(scene: SceneCues) -> list[str]:
+    """Check scene invariants; returns one message per violation.
+
+    Values are checked only when every shape is right.
+    """
+    grid = scene.semantic_probs.shape[:2]
+    masks = [det.mask for det in scene.detections]
+    names = ["semantic_probs", "features",
+             *(f"detections[{i}].mask" for i in range(len(masks)))]
+    shape_violations = _shape_violations(scene.catalog, grid, scene.semantic_probs,
+                                         scene.features, masks, names)
+    if len(grid) < 2:  # no grid to place the detections on
+        return shape_violations
+    violations = [f"detections[{i}]{v}" for i, det in enumerate(scene.detections)
+                  for v in _detection_violations(det, scene.catalog, *grid)]
+    if shape_violations:
+        return shape_violations + violations
+    return violations + _value_violations(scene.semantic_probs, scene.features,
+                                          scene.detections, masks, names)
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +533,8 @@ class _SceneManifest:
     root: Path
     catalog: ClassCatalog
     shape: tuple[int, int]
-    semantic_probs: Path
-    features: Path
-    detections: list[Detection]  # masks not read; their files are in mask_files
-    mask_files: list[str | None]
+    cue_files: list[Path | None]  # semantic_probs, features, then each detection's mask
+    detections: list[Detection]  # masks not read
     gt_labels: Path | None
     gt_segments: list[GtSegment]
 
@@ -547,11 +567,13 @@ def _read_manifest(path: str | Path) -> _SceneManifest:
     shape = (value(grid, "height", int, mpath, "shape"),
              value(grid, "width", int, mpath, "shape"))
     tensors = value(manifest, "tensors", dict, mpath)
+    cue_files = [root / value(tensors, key, str, mpath, "tensors")
+                 for key in ("semantic_probs", "features")]
 
-    detections, mask_files = [], []
+    detections = []
     for rec, at in records(manifest, "detections", mpath):
         mask = value(rec, "mask", str, mpath, at, optional=True)
-        mask_files.append(mask or None)
+        cue_files.append(root / mask if mask else None)
         det = Detection(box=_box(rec, mpath, at),
                         score=value(rec, "score", float, mpath, at),
                         class_id=value(rec, "class_id", int, mpath, at))
@@ -573,13 +595,8 @@ def _read_manifest(path: str | Path) -> _SceneManifest:
             gt_segments.append(GtSegment(index, class_id,
                                          _box(s, mpath, at),
                                          value(s, "area", int, mpath, at)))
-    return _SceneManifest(
-        root=root, catalog=catalog, shape=shape,
-        semantic_probs=root / value(tensors, "semantic_probs", str, mpath, "tensors"),
-        features=root / value(tensors, "features", str, mpath, "tensors"),
-        detections=detections, mask_files=mask_files,
-        gt_labels=gt_labels, gt_segments=gt_segments,
-    )
+    return _SceneManifest(root=root, catalog=catalog, shape=shape, cue_files=cue_files,
+                          detections=detections, gt_labels=gt_labels, gt_segments=gt_segments)
 
 
 def _read_cues(m: _SceneManifest, read) -> tuple:
@@ -588,25 +605,9 @@ def _read_cues(m: _SceneManifest, read) -> tuple:
     ``read`` is ``container.read_tensor``, or ``container.read_header`` to
     make the same checks without reading any payload.
     """
-    v = read(m.semantic_probs)
-    features = read(m.features)
-    _check_shape(v, m.shape, m.catalog.n_classes, "semantic_probs")
-    if features.shape[:2] != m.shape:
-        raise FormatError(
-            f"features grid {features.shape[:2]} does not match manifest {m.shape}"
-        )
-    if len(features.shape) != 3:
-        raise FormatError(f"features has shape {features.shape}, expected rank 3")
-    masks = []
-    for mask_file in m.mask_files:
-        mask = None
-        if mask_file is not None:
-            mask = read(m.root / mask_file)
-            if mask.shape != m.shape:
-                raise FormatError(
-                    f"mask {mask_file} shape {mask.shape} does not match manifest {m.shape}"
-                )
-        masks.append(mask)
+    v, features, *masks = [read(f) if f else None for f in m.cue_files]
+    for violation in _shape_violations(m.catalog, m.shape, v, features, masks, m.cue_files):
+        raise FormatError(violation)
     return v, features, masks
 
 
@@ -648,18 +649,10 @@ def load_scene(path: str | Path) -> tuple[SceneCues, GroundTruthPanoptic | None]
     """
     m = _read_manifest(path)
     v, features, masks = _read_cues(m, container.read_tensor)
-    cues = [(m.semantic_probs, v), (m.features, features)]
-    cues += [(m.root / f, mask[..., None]) for f, mask in zip(m.mask_files, masks) if f]
-    for file, t in cues:
-        for violation in _non_finite(str(file), t):
-            raise FormatError(violation)
-    violations = _normalization_violations(str(m.semantic_probs), v)
-    for det, mask, mask_file in zip(m.detections, masks, m.mask_files):
-        if mask is not None:
-            violations += _mask_violations(str(m.root / mask_file), mask, det.box)
+    for violation in _value_violations(v, features, m.detections, masks, m.cue_files):
+        raise FormatError(violation)
+    for det, mask in zip(m.detections, masks):
         det.mask = mask
-    if violations:
-        raise FormatError(violations[0])
     scene = SceneCues(catalog=m.catalog, semantic_probs=v,
                       detections=m.detections, features=features)
     return scene, _read_ground_truth(m)
@@ -676,10 +669,3 @@ def load_scene_records(path: str | Path
     _read_cues(m, container.read_header)
     return m.catalog, m.detections, _read_ground_truth(m)
 
-
-def _check_shape(t, grid: tuple[int, int], channels: int, name: str) -> None:
-    """``t`` is an array or a ``container.TensorHeader``."""
-    if len(t.shape) != 3 or t.shape[:2] != grid or t.shape[2] != channels:
-        raise FormatError(
-            f"{name} has shape {t.shape}, manifest expects {grid + (channels,)}"
-        )
