@@ -92,14 +92,16 @@ class AffinityParams:
         arrays = {}
         for name, rank in (("w0", 2), ("b0", 1), ("w1", 2), ("b1", 1)):
             file = root / container.manifest_value(tensors, name, str, mpath, "tensors")
-            arrays[name] = container.read_tensor(file)
-            if arrays[name].ndim != rank:
-                raise FormatError(
-                    f"{file}: {name} has shape {arrays[name].shape}, expected rank {rank}"
-                )
-        params = cls(**arrays)
-        params.validate()
-        return params
+            arr = arrays[name] = container.read_tensor(file)
+            if arr.ndim != rank:
+                raise FormatError(f"{file}: {name} has shape {arr.shape}, expected rank {rank}")
+            expected = (len(arrays["w0"]),) * rank  # w0 gives the feature width
+            if arr.shape != expected:
+                raise FormatError(f"{file}: {name} has shape {arr.shape}, expected {expected}")
+            bad = np.argwhere(~np.isfinite(arr))
+            if len(bad):
+                raise FormatError(f"{file}: non-finite value at index {tuple(bad[0].tolist())}")
+        return cls(**arrays)
 
 
 @dataclass

@@ -38,13 +38,14 @@ def _worker_count() -> int:
     return 1
 
 
-def _bounded(kind: type, low: float, high: float | None = None, low_open: bool = False):
+def _bounded(kind: type, low: float, high: float | None = None, low_open: bool = False,
+             high_open: bool = False):
     """argparse type: a finite ``kind`` value above ``low`` (strictly when
-    ``low_open``) and at most ``high``."""
+    ``low_open``) and at most ``high`` (strictly below it when ``high_open``)."""
     if high is None:
         rule = f"> {low}" if low_open else f">= {low}"
     else:
-        rule = f"in {'(' if low_open else '['}{low}, {high}]"
+        rule = f"in {'(' if low_open else '['}{low}, {high}{')' if high_open else ']'}"
 
     def parse(text: str):
         try:
@@ -53,16 +54,19 @@ def _bounded(kind: type, low: float, high: float | None = None, low_open: bool =
             noun = "an integer" if kind is int else "a number"
             raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
         above = value > low if low_open else value >= low
-        if not (above and math.isfinite(value) and (high is None or value <= high)):
+        below = high is None or (value < high if high_open else value <= high)
+        if not (above and below and math.isfinite(value)):
             raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
         return value
     return parse
 
 
 _positive_int = _bounded(int, 1)
-_count = _bounded(int, 0)  # seeds, areas and trims
+_count = _bounded(int, 0)  # seeds, areas, trims and instances
 _non_negative = _bounded(float, 0)
 _fraction = _bounded(float, 0, 1)  # thresholds and rates
+_open_fraction = _bounded(float, 0, 1, high_open=True)  # box truncation and confusion
+_grid_side = _bounded(int, 1, 128)
 _match_threshold = _bounded(float, 0, 1, low_open=True)
 
 
@@ -77,15 +81,15 @@ def _pixel(text: str) -> tuple[int, int]:
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_count, default=0)
-    p.add_argument("--height", type=int, default=32)
-    p.add_argument("--width", type=int, default=32)
-    p.add_argument("--n-stuff", type=int, default=3)
-    p.add_argument("--n-thing", type=int, default=3)
-    p.add_argument("--instances", type=int, default=3)
-    p.add_argument("--stuff-segments", type=int, default=3)
-    p.add_argument("--truncation", type=float, default=0.0)
+    p.add_argument("--height", type=_grid_side, default=32)
+    p.add_argument("--width", type=_grid_side, default=32)
+    p.add_argument("--n-stuff", type=_positive_int, default=3)
+    p.add_argument("--n-thing", type=_positive_int, default=3)
+    p.add_argument("--instances", type=_count, default=3)
+    p.add_argument("--stuff-segments", type=_positive_int, default=3)
+    p.add_argument("--truncation", type=_open_fraction, default=0.0)
     p.add_argument("--jitter", type=_non_negative, default=0.0)
-    p.add_argument("--confusion", type=float, default=0.0)
+    p.add_argument("--confusion", type=_open_fraction, default=0.0)
     p.add_argument("--feature-noise", type=_non_negative, default=0.1)
     p.add_argument("--feature-dim", type=_positive_int, default=16)
     p.add_argument("--with-masks", action="store_true")
@@ -122,6 +126,9 @@ def _run_one(args: argparse.Namespace, scene_path: str, out_path: str,
     # Checked before anything is written, so a failure leaves no output.
     if args.dump_match and gt is None:
         raise CueError("--dump-match needs ground truth in the scene container")
+    if params is not None and scene.features.shape[2] != params.feature_dim:
+        raise CueError(f"scene {scene_path} has {scene.features.shape[2]}-channel features, "
+                       f"but checkpoint {args.checkpoint} expects {params.feature_dim}")
     if args.dump_affinity:
         row, col = args.dump_affinity
         if not (0 <= row < scene.height and 0 <= col < scene.width):
@@ -212,6 +219,9 @@ def _eval_one(scene_path: str, pred_path: str):
     if gt is None:
         raise CueError(f"scene {scene_path} has no ground truth to evaluate against")
     pred = load_panoptic(pred_path)
+    if pred.shape != gt.label_map.shape:
+        raise FormatError(f"{Path(pred_path) / 'panoptic.panc'}: grid {pred.shape} does not "
+                          f"match the ground truth {gt.label_map.shape} of scene {scene_path}")
     spath = Path(pred_path) / "segments.json"
     for s in pred.segments:
         if not (catalog.is_thing(s.class_id) or catalog.is_stuff(s.class_id)):
@@ -359,13 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("costs", help="estimate applier FLOPs and memory")
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--w", type=int, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--ndet", type=int, required=True)
-    p.add_argument("--nstuff", type=int, required=True)
-    p.add_argument("--bytes", type=int, default=4)
+    p.add_argument("--h", type=_positive_int, required=True)
+    p.add_argument("--w", type=_positive_int, required=True)
+    p.add_argument("--d", type=_positive_int, default=1)
+    p.add_argument("--c", type=_positive_int, required=True)
+    p.add_argument("--ndet", type=_positive_int, required=True)
+    p.add_argument("--nstuff", type=_positive_int, required=True)
+    p.add_argument("--bytes", type=_positive_int, default=4)
     p.set_defaults(func=cmd_costs)
 
     p = sub.add_parser("ablate", help="train and compare preset configurations")

@@ -225,7 +225,11 @@ def load_panoptic(path: str | Path) -> PanopticMap:
                                 kind=kind,
                                 area=value(s, "area", int, spath, at),
                                 instance_id=value(s, "instance_id", int, spath, at)))
-    grid = container.read_tensor(root / "panoptic.panc")
+    gpath = root / "panoptic.panc"
+    grid = container.read_tensor(gpath)
+    if grid.dtype != np.uint32 or grid.ndim != 2:
+        raise FormatError(f"{gpath}: panoptic grid has dtype {grid.dtype} and shape "
+                          f"{grid.shape}, expected a uint32 grid of rank 2")
     # ``return_inverse`` would argsort the grid; a search of the sorted
     # unique ids gives the same inverse at a fifth of the cost.
     encoded, counts = np.unique(grid, return_counts=True)
@@ -233,10 +237,8 @@ def load_panoptic(path: str | Path) -> PanopticMap:
     decode.update((s.encoded_id, s.index) for s in segments)
     try:
         lut = np.array([decode[e] for e in encoded.tolist()], dtype=np.int32)
-    except KeyError:
-        raise FormatError(
-            f"panoptic grid in {root} references encoded ids missing from the sidecar"
-        ) from None
+    except KeyError as e:
+        raise FormatError(f"{gpath}: encoded id {e.args[0]} is missing from {spath}") from None
     pixels = dict(zip(lut.tolist(), counts.tolist()))
     for s, (_, at) in zip(segments, records):
         if s.area != pixels.get(s.index, 0):

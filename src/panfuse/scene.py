@@ -189,8 +189,9 @@ class SynthConfig:
             raise GenerationError("mask_noise must be in [0, 1]")
         if self.feature_dim < 1:
             raise GenerationError(f"feature_dim must be >= 1, got {self.feature_dim}")
-        if self.n_instances < 0 or self.n_stuff < 1 or self.n_thing < 1:
-            raise GenerationError("need n_stuff >= 1, n_thing >= 1, n_instances >= 0")
+        if self.n_instances < 0 or min(self.n_stuff, self.n_thing, self.stuff_segments) < 1:
+            raise GenerationError(
+                "need n_stuff >= 1, n_thing >= 1, stuff_segments >= 1, n_instances >= 0")
         if not (1 <= self.instance_min <= self.instance_max):
             raise GenerationError("instance size range is empty")
 
@@ -244,7 +245,7 @@ def synth_scene(cfg: SynthConfig, seed: int) -> tuple[SceneCues, GroundTruthPano
     catalog = ClassCatalog(cfg.n_stuff, cfg.n_thing)
 
     # Stuff background: one nearest-seed cell per participating class.
-    n_cells = max(1, min(cfg.stuff_segments, cfg.n_stuff))
+    n_cells = min(cfg.stuff_segments, cfg.n_stuff)
     cell_classes = np.sort(rng.choice(cfg.n_stuff, size=n_cells, replace=False))
     seeds_y = rng.integers(0, h, size=n_cells)
     seeds_x = rng.integers(0, w, size=n_cells)
@@ -560,9 +561,12 @@ def _read_manifest(path: str | Path) -> _SceneManifest:
     names = value(cat, "names", list, mpath, "catalog", optional=True)
     if names and any(type(n) is not str for n in names):
         raise FormatError(f"{mpath}: key catalog.names must be a list of strings")
-    catalog = ClassCatalog(value(cat, "n_stuff", int, mpath, "catalog"),
-                           value(cat, "n_thing", int, mpath, "catalog"),
-                           tuple(names) if names else None)
+    try:
+        catalog = ClassCatalog(value(cat, "n_stuff", int, mpath, "catalog"),
+                               value(cat, "n_thing", int, mpath, "catalog"),
+                               tuple(names) if names else None)
+    except DimensionError as e:
+        raise FormatError(f"{mpath}: key catalog: {e}") from None
     grid = value(manifest, "shape", dict, mpath)
     shape = (value(grid, "height", int, mpath, "shape"),
              value(grid, "width", int, mpath, "shape"))
@@ -617,9 +621,8 @@ def _read_ground_truth(m: _SceneManifest) -> GroundTruthPanoptic | None:
         return None
     u32 = container.read_tensor(m.gt_labels)
     if u32.shape != m.shape:
-        raise FormatError(
-            f"ground-truth grid {u32.shape} does not match manifest {m.shape}"
-        )
+        raise FormatError(f"{m.gt_labels}: ground-truth grid {u32.shape} does not match "
+                          f"manifest {m.shape}")
     if u32.dtype != np.uint32:
         raise FormatError(f"{m.gt_labels}: ground-truth grid has dtype {u32.dtype}, "
                           f"expected uint32")
@@ -643,9 +646,9 @@ def load_scene(path: str | Path) -> tuple[SceneCues, GroundTruthPanoptic | None]
     """Read a scene directory; save -> load round-trips bit-exactly.
 
     Cues that ``validate_scene`` would reject are rejected here, naming the
-    tensor file: non-finite values (at the first bad pixel), semantic
-    probabilities that do not sum to 1, and masks with values outside
-    [0, 1] or outside their box.
+    tensor file: wrong shapes, non-finite values (at the first bad pixel),
+    semantic probabilities that do not sum to 1, and masks with values
+    outside [0, 1] or outside their box.
     """
     m = _read_manifest(path)
     v, features, masks = _read_cues(m, container.read_tensor)

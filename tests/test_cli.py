@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import panfuse
 from panfuse import container
@@ -115,6 +121,11 @@ def test_train_and_ablate_steps_usage_error(tmp_path, capsys, steps):
     ("--jitter", "nan"), ("--jitter", "inf"), ("--jitter", "-1"),
     ("--feature-noise", "nan"), ("--feature-noise", "-0.5"),
     ("--mask-noise", "nan"), ("--mask-noise", "5"), ("--mask-noise", "-0.1"),
+    ("--height", "0"), ("--height", "129"), ("--width", "0"),
+    ("--n-stuff", "0"), ("--n-thing", "0"), ("--instances", "-1"),
+    ("--stuff-segments", "0"), ("--stuff-segments", "-4"),
+    ("--truncation", "1"), ("--truncation", "nan"), ("--truncation", "-0.1"),
+    ("--confusion", "1"), ("--confusion", "nan"), ("--confusion", "-0.1"),
 ])
 def test_synth_and_train_flag_ranges_usage_error(tmp_path, capsys, flag, value):
     for command in ("synth", "train"):
@@ -122,6 +133,16 @@ def test_synth_and_train_flag_ranges_usage_error(tmp_path, capsys, flag, value):
         assert run_cli(command, "--out", str(out), "--with-masks", flag, value) == 2
         assert f"argument {flag}: must be " in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--h", "--w", "--d", "--c", "--ndet", "--nstuff", "--bytes"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_costs_flag_ranges_usage_error(capsys, flag, value):
+    args = {"--h": "32", "--w": "32", "--c": "16", "--ndet": "4", "--nstuff": "3", flag: value}
+    assert run_cli("costs", *(x for item in args.items() for x in item)) == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: must be >= 1, got {value}" in captured.err
+    assert captured.out == ""
 
 
 @pytest.fixture
@@ -392,9 +413,10 @@ def _stuff_as_class_99(sidecar, pred):
     (_stuff_as_class_99, "{spath}: key segments[0].class_id: 99 is outside the catalog"),
     (lambda *_: '{"format": "panfuse-panoptic", "version": 2, "segments": []}',
      "{spath}: key version must be 1, got 2"),
+    (_set("segments", 0, "instance_id", 7), "{pred}/panoptic.panc: encoded id "),
 ], ids=["list", "bad-json", "no-segments", "no-kind", "not-an-object", "kind-integer",
         "index-out-of-place", "kind-banana", "area-off", "thing-as-stuff", "class-99",
-        "version-2"])
+        "version-2", "instance-id-off"])
 def test_eval_rejects_damaged_sidecar(capsys, masked_scene_and_pred, edit, message):
     scene_dir, pred = masked_scene_and_pred
     spath = pred / "segments.json"
@@ -591,3 +613,137 @@ def test_train_held_out_pq_equals_eval_of_the_same_predictions(tmp_path):
     assert run_cli(*run) == 0 and run_cli(*evaluate) == 0
     report = json.loads((tmp_path / "train" / "report.json").read_text())
     assert json.loads((tmp_path / "eval.json").read_text())["pq"] == report["final_pq"]
+
+
+@pytest.mark.parametrize("name, tensor, message", [
+    ("features.panc", np.zeros((16, 32, 16)), "shape (16, 32, 16), expected (32, 32, 16)"),
+    ("features.panc", np.zeros((32, 32)), "shape (32, 32), expected (32, 32, c)"),
+    ("semantic_probs.panc", np.zeros((32, 32, 5)), "shape (32, 32, 5), expected (32, 32, 6)"),
+    ("mask_000.panc", np.zeros((16, 16)), "shape (16, 16), expected (32, 32)"),
+], ids=["features-grid", "features-rank", "probs-channels", "mask-grid"])
+def test_cue_shape_faults_name_the_file(tmp_path, capsys, masked_scene_and_pred, name, tensor,
+                                        message):
+    scene_dir, pred = masked_scene_and_pred
+    path = scene_dir / name
+    container.write_tensor(path, tensor)
+    capsys.readouterr()
+    for mode in ("argmax", "heuristic"):
+        out = tmp_path / "again"
+        assert run_cli("run", "--scene", str(scene_dir), "--out", str(out), "--mode", mode) == 3
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+    report = tmp_path / "eval.json"
+    assert run_cli("eval", "--scene", str(scene_dir), "--pred", str(pred),
+                   "--json", str(report)) == 3
+    assert f"{path}: {message}" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def _nan_w1(ckpt, _):
+    w1 = container.read_tensor(ckpt / "w1.panc")
+    w1[2, 3] = np.nan
+    container.write_tensor(ckpt / "w1.panc", w1)
+    return "{ckpt}/w1.panc: non-finite value at index (2, 3)"
+
+
+def _short_b0(ckpt, _):
+    container.write_tensor(ckpt / "b0.panc", np.zeros(8))
+    return "{ckpt}/b0.panc: b0 has shape (8,), expected (16,)"
+
+
+def _narrow_scene(_, scene_dir):
+    assert run_cli(*synth_args(scene_dir, extra=["--feature-dim", "8"])) == 0
+    return "scene {scene} has 8-channel features, but checkpoint {ckpt} expects 16"
+
+
+@pytest.mark.parametrize("damage", [_nan_w1, _short_b0, _narrow_scene])
+def test_run_rejects_checkpoint_faults_naming_the_files(tmp_path, capsys, scene_and_params,
+                                                        damage):
+    scene_dir, ckpt = scene_and_params
+    scene_copy, ckpt_copy = tmp_path / "scene", tmp_path / "checkpoint"
+    shutil.copytree(scene_dir, scene_copy)
+    shutil.copytree(ckpt, ckpt_copy)
+    message = damage(ckpt_copy, scene_copy).format(ckpt=ckpt_copy, scene=scene_copy)
+    capsys.readouterr()
+    out = tmp_path / "pred"
+    assert run_cli("run", "--scene", str(scene_copy), "--out", str(out),
+                   "--checkpoint", str(ckpt_copy)) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda g: g.astype(np.float64), lambda g: g.astype(np.float32), lambda g: g[..., None],
+], ids=["f64", "f32", "rank-3"])
+def test_eval_rejects_a_prediction_grid_that_is_not_a_u32_image(tmp_path, capsys,
+                                                                 masked_scene_and_pred, rewrite):
+    scene_dir, pred = masked_scene_and_pred
+    path = pred / "panoptic.panc"
+    grid = rewrite(container.read_tensor(path))
+    container.write_tensor(path, grid)
+    capsys.readouterr()
+    report = tmp_path / "eval.json"
+    assert run_cli("eval", "--scene", str(scene_dir), "--pred", str(pred),
+                   "--json", str(report)) == 3
+    assert (f"{path}: panoptic grid has dtype {grid.dtype} and shape {grid.shape}, "
+            f"expected a uint32 grid of rank 2") in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_eval_rejects_a_prediction_for_another_grid(tmp_path, capsys, masked_scene_and_pred):
+    scene_dir, _ = masked_scene_and_pred
+    small, pred = tmp_path / "small", tmp_path / "small_pred"
+    assert run_cli(*synth_args(small, extra=["--height", "16", "--width", "24", "--instances", "1"])) == 0
+    assert run_cli("run", "--scene", str(small), "--out", str(pred)) == 0
+    capsys.readouterr()
+    assert run_cli("eval", "--scene", str(scene_dir), "--pred", str(pred)) == 3
+    assert (f"{pred / 'panoptic.panc'}: grid (16, 24) does not match the ground truth "
+            f"(32, 32) of scene {scene_dir}") in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def masked_scene_and_pred_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("damage")
+    assert run_cli(*synth_args(root / "scene", extra=["--with-masks", "--instances", "4"])) == 0
+    assert run_cli("run", "--scene", str(root / "scene"), "--out", str(root / "pred")) == 0
+    return root
+
+
+def _run_cli_capturing_stderr(*args):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run_cli(*args)
+    return code, err.getvalue()
+
+
+@given(name=st.sampled_from(["scene/semantic_probs.panc", "scene/features.panc",
+                             "scene/mask_000.panc", "scene/mask_003.panc",
+                             "pred/panoptic.panc"]),
+       dtype=st.sampled_from([np.float32, np.float64, np.uint32]),
+       shape=st.none() | st.lists(st.sampled_from([32, 6, 16]) | st.integers(1, 40), max_size=3))
+def test_run_and_eval_on_a_rewritten_tensor_exit_0_or_3_naming_it(masked_scene_and_pred_dir,
+                                                                  name, dtype, shape):
+    """A valid PANC file of any dtype and shape (None: the original shape) in
+    place of a cue or the prediction grid either passes or exits 3 naming it
+    (or the manifest or sidecar it disagrees with), and then nothing is written."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        shutil.copytree(masked_scene_and_pred_dir, root, dirs_exist_ok=True)
+        path = root / name
+        original = np.abs(container.read_tensor(path))
+        values = np.resize(original, original.shape if shape is None else shape)
+        container.write_tensor(path, values.astype(dtype))
+        named = [str(path), str(root / "scene" / "manifest.json"),
+                 str(root / "pred" / "segments.json")]
+        scene = ["--scene", str(root / "scene")]
+        report = root / "eval.json"
+        for out, args in [(root / "argmax", ["run", *scene, "--out", str(root / "argmax")]),
+                          (root / "heuristic", ["run", *scene, "--out", str(root / "heuristic"),
+                                                "--mode", "heuristic"]),
+                          (report, ["eval", *scene, "--pred", str(root / "pred"),
+                                    "--json", str(report)])]:
+            code, err = _run_cli_capturing_stderr(*args)
+            assert code in (0, 3), err
+            if code == 3:
+                assert any(n in err for n in named), err
+                assert not out.exists()

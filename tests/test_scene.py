@@ -117,6 +117,7 @@ def test_generation_error_when_unplaceable():
     ("box_jitter", np.nan), ("box_jitter", np.inf), ("box_jitter", -1.0),
     ("feature_noise", np.nan), ("feature_noise", np.inf),
     ("mask_noise", np.nan), ("mask_noise", 5.0), ("mask_noise", -0.1),
+    ("stuff_segments", 0), ("stuff_segments", -4),
 ])
 def test_synth_config_rejects_out_of_range_knobs(field, value):
     with pytest.raises(GenerationError, match=field):
@@ -162,6 +163,22 @@ def test_validate_reports_non_finite(array, value):
     getattr(scene, array)[7, 0, 0] = value
     violations = validate_scene(scene)
     assert f"{array}: non-finite value at pixel (2, 5)" in violations
+
+
+@pytest.mark.parametrize("array, shape, message", [
+    ("semantic_probs", (32, 32, 5), "semantic_probs: shape (32, 32, 5), expected (32, 32, 6)"),
+    ("features", (16, 32, 16), "features: shape (16, 32, 16), expected (32, 32, 16)"),
+    ("features", (32, 32), "features: shape (32, 32), expected (32, 32, c)"),
+    ("mask", (16, 16), "detections[1].mask: shape (16, 16), expected (32, 32)"),
+], ids=["probs-channels", "features-grid", "features-rank", "mask-grid"])
+def test_validate_reports_shapes_and_then_skips_values(array, shape, message):
+    scene, _ = synth_scene(SynthConfig(with_masks=True), seed=1)
+    scene.semantic_probs[0, 0, 0] = np.nan  # not reported while a shape is wrong
+    if array == "mask":
+        scene.detections[1].mask = np.zeros(shape)
+    else:
+        setattr(scene, array, np.zeros(shape))
+    assert validate_scene(scene) == [message]
 
 
 def test_validate_reports_degenerate_box():
@@ -317,6 +334,9 @@ def _delete(key):
     (_set(["catalog", "n_stuff"], "3"), "key catalog.n_stuff must be an integer, got a string"),
     (_set(["catalog", "n_thing"], True), "key catalog.n_thing must be an integer, got a boolean"),
     (_set(["catalog", "names"], [1, 2, 3, 4, 5, 6]), "key catalog.names must be a list of strings"),
+    (_set(["catalog", "n_stuff"], 0),
+     "key catalog: catalog needs n_stuff >= 1 and n_thing >= 0, got (0, 3)"),
+    (_set(["catalog", "names"], ["sky"]), "key catalog: catalog names has 1 entries, expected 6"),
     (_delete("shape"), "missing key shape"),
     (_set(["shape", "width"], 32.0), "key shape.width must be an integer, got a number"),
     (_delete("tensors"), "missing key tensors"),
@@ -379,6 +399,16 @@ def test_load_rejects_ground_truth_grid_that_is_not_u32(saved_scene):
     for load in (load_scene, load_scene_records):
         with pytest.raises(FormatError, match=f"{path}: ground-truth grid has dtype float64"):
             load(saved_scene)
+
+
+def test_load_rejects_ground_truth_grid_of_the_wrong_shape(saved_scene):
+    path = saved_scene / "gt_labels.panc"
+    write_tensor(path, read_tensor(path)[:16])
+    for load in (load_scene, load_scene_records):
+        with pytest.raises(FormatError) as exc:
+            load(saved_scene)
+        assert str(exc.value) == (f"{path}: ground-truth grid (16, 32) does not match "
+                                  f"manifest (32, 32)")
 
 
 def test_scene_records_match_full_load(saved_scene):
