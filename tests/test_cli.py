@@ -693,7 +693,8 @@ def test_eval_rejects_a_prediction_grid_that_is_not_a_u32_image(tmp_path, capsys
 def test_eval_rejects_a_prediction_for_another_grid(tmp_path, capsys, masked_scene_and_pred):
     scene_dir, _ = masked_scene_and_pred
     small, pred = tmp_path / "small", tmp_path / "small_pred"
-    assert run_cli(*synth_args(small, extra=["--height", "16", "--width", "24", "--instances", "1"])) == 0
+    assert run_cli(*synth_args(small, extra=["--height", "16", "--width", "24",
+                                             "--instances", "1"])) == 0
     assert run_cli("run", "--scene", str(small), "--out", str(pred)) == 0
     capsys.readouterr()
     assert run_cli("eval", "--scene", str(scene_dir), "--pred", str(pred)) == 3
