@@ -24,7 +24,7 @@ import numpy as np
 
 from . import container
 from .errors import CapacityError, DimensionError, FormatError
-from .numerics import require_tensor3
+from .numerics import FLOAT_DTYPES, require_tensor3
 
 NAIVE_PIXEL_CAP = 4096
 
@@ -93,6 +93,9 @@ class AffinityParams:
         for name, rank in (("w0", 2), ("b0", 1), ("w1", 2), ("b1", 1)):
             file = root / container.manifest_value(tensors, name, str, mpath, "tensors")
             arr = arrays[name] = container.read_tensor(file)
+            if arr.dtype not in FLOAT_DTYPES:
+                raise FormatError(f"{file}: {name} has dtype {arr.dtype}, "
+                                  f"expected float32 or float64")
             if arr.ndim != rank:
                 raise FormatError(f"{file}: {name} has shape {arr.shape}, expected rank {rank}")
             expected = (len(arrays["w0"]),) * rank  # w0 gives the feature width

@@ -9,8 +9,11 @@ dictionaries. Exit codes: 0 success, 2 usage, 3 data/cue error,
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -31,6 +34,24 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Let glibc keep up to 64 MB of freed heap instead of returning it to the OS.
+
+    Without it the top of the heap is trimmed after each scene, and the next
+    scene faults all its arrays in again: about 4,300 pages per 128x128 scene
+    with 24 instances. Elsewhere, or where ``mallopt`` refuses, nothing changes.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):  # no confstr, no libc handle, no mallopt
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-2, 64 << 20)  # M_TOP_PAD; a refusal (0) leaves the default
 
 
 def _worker_count() -> int:
@@ -389,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -23,6 +23,8 @@ import numpy as np
 from .errors import DimensionError
 
 DEFAULT_DTYPE = np.float64
+# The dtypes a cue or parameter tensor read from disk may have.
+FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 # Sentinel for pixels excluded from the training loss.
 IGNORE = -1

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import container
 from .errors import DimensionError, FormatError, GenerationError
-from .numerics import DEFAULT_DTYPE, IGNORE
+from .numerics import DEFAULT_DTYPE, FLOAT_DTYPES, IGNORE
 
 
 @dataclass(frozen=True)
@@ -419,18 +419,26 @@ def _detection_violations(det: Detection, catalog: ClassCatalog,
 
 def _shape_violations(catalog: ClassCatalog, grid: tuple, v, features, masks,
                       names: list) -> list[str]:
-    """Violations of the cue shapes on the ``grid`` (height, width).
+    """Violations of the cue shapes on the ``grid`` (height, width) and of
+    the cue dtypes, which must be float32 or float64.
 
-    Only ``.shape`` is read, so the cues may be arrays or
+    Only ``.shape`` and ``.dtype`` are read, so the cues may be arrays or
     ``container.TensorHeader``s. ``names`` holds the display names of ``v``,
     ``features`` and each mask; a None mask is absent.
     """
     c = features.shape[2] if len(features.shape) == 3 else "c"  # features take any width
     rules = [(v, grid + (catalog.n_classes,)), (features, grid + (c,))]
     rules += [(mask, grid) for mask in masks]
-    return [f"{name}: shape {t.shape}, expected ({', '.join(map(str, expected))})"
-            for (t, expected), name in zip(rules, names)
-            if t is not None and t.shape != expected]
+    violations = []
+    for (t, expected), name in zip(rules, names):
+        if t is None:
+            continue
+        if t.shape != expected:
+            violations.append(f"{name}: shape {t.shape}, expected "
+                              f"({', '.join(map(str, expected))})")
+        if t.dtype not in FLOAT_DTYPES:
+            violations.append(f"{name}: dtype {t.dtype}, expected float32 or float64")
+    return violations
 
 
 def _value_violations(v: np.ndarray, features: np.ndarray, detections: list[Detection],
@@ -452,7 +460,7 @@ def _value_violations(v: np.ndarray, features: np.ndarray, detections: list[Dete
 def validate_scene(scene: SceneCues) -> list[str]:
     """Check scene invariants; returns one message per violation.
 
-    Values are checked only when every shape is right.
+    Values are checked only when every shape and dtype is right.
     """
     grid = scene.semantic_probs.shape[:2]
     masks = [det.mask for det in scene.detections]
@@ -570,6 +578,9 @@ def _read_manifest(path: str | Path) -> _SceneManifest:
     grid = value(manifest, "shape", dict, mpath)
     shape = (value(grid, "height", int, mpath, "shape"),
              value(grid, "width", int, mpath, "shape"))
+    for key, side in zip(("height", "width"), shape):
+        if side < 1:
+            raise FormatError(f"{mpath}: key shape.{key} must be >= 1, got {side}")
     tensors = value(manifest, "tensors", dict, mpath)
     cue_files = [root / value(tensors, key, str, mpath, "tensors")
                  for key in ("semantic_probs", "features")]
@@ -646,7 +657,7 @@ def load_scene(path: str | Path) -> tuple[SceneCues, GroundTruthPanoptic | None]
     """Read a scene directory; save -> load round-trips bit-exactly.
 
     Cues that ``validate_scene`` would reject are rejected here, naming the
-    tensor file: wrong shapes, non-finite values (at the first bad pixel),
+    tensor file: wrong shapes or dtypes, non-finite values (at the first bad pixel),
     semantic probabilities that do not sum to 1, and masks with values
     outside [0, 1] or outside their box.
     """
@@ -665,7 +676,7 @@ def load_scene_records(path: str | Path
                        ) -> tuple[ClassCatalog, list[Detection], GroundTruthPanoptic | None]:
     """What scoring a scene needs: its catalog, detections and ground truth.
 
-    The cue tensors get the header, size and shape checks of ``load_scene``
+    The cue tensors get the header, size, shape and dtype checks of ``load_scene``
     but their payloads are not read, so the detections carry no masks.
     """
     m = _read_manifest(path)

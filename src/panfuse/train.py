@@ -154,38 +154,28 @@ def prepare_training_scene(scene: SceneCues, gt: GroundTruthPanoptic,
 
 
 def loss_and_grads(bundle: SceneBundle, params: AffinityParams,
-                   buffers: dict | None = None,
                    ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One training step's loss and its (d_w0, d_b0, d_w1, d_b1).
 
     Bit for bit what ``project_features``, ``apply_affinity_factored``,
     ``panoptic_matching_loss`` and ``backward_affinity`` give, in one pass:
     the projections and ``exp`` are computed once, and the input gradients
-    (``d_psi``, ``d_features``) are not computed at all. The large
-    intermediates live in ``buffers``, which maps (pixels, c, k) to arrays
-    reused by every call of that shape.
+    (``d_psi``, ``d_features``) are not computed at all.
     """
     psi, features = bundle.psi_flat, bundle.features_flat
-    n, k = psi.shape
-    c = features.shape[1]
+    n = psi.shape[0]
     if bundle.n_valid == 0:
         return (0.0, np.zeros_like(params.w0), np.zeros_like(params.b0),
                 np.zeros_like(params.w1), np.zeros_like(params.b1))
-    if buffers is None:
-        buffers = {}
-    if (n, c, k) not in buffers:
-        buffers[n, c, k] = (np.empty((n, c)), np.empty((n, c)), np.empty((n, k)),
-                            np.empty((n, c)), np.empty((n, c), dtype=bool))
-    q0, q1, g, d, live = buffers[n, c, k]
 
     # Forward: rectified projections, logits, shifted logits.
-    for q, weight, bias in ((q0, params.w0, params.b0), (q1, params.w1, params.b1)):
-        np.matmul(features, weight, out=q)
+    q0, q1 = features @ params.w0, features @ params.w1
+    for q, bias in ((q0, params.b0), (q1, params.b1)):
         q += bias
         np.maximum(q, 0.0, out=q)
     inner = q1.T @ psi
-    np.matmul(q0, inner, out=g)
-    np.add(psi, g, out=g)
+    g = q0 @ inner
+    g += psi
     g -= g.max(axis=1, keepdims=True)
 
     # Loss: log-softmax at the target channels of the valid pixels.
@@ -205,13 +195,11 @@ def loss_and_grads(bundle: SceneBundle, params: AffinityParams,
 
     # Backward through the factored product and both rectifiers.
     d_inner = q0.T @ g
-    np.matmul(g, inner.T, out=d)
-    np.greater(q0, 0.0, out=live)
-    d *= live
+    d = g @ inner.T
+    d *= q0 > 0.0
     d_w0, d_b0 = features.T @ d, d.sum(axis=0)
-    np.matmul(psi, d_inner.T, out=d)
-    np.greater(q1, 0.0, out=live)
-    d *= live
+    d = psi @ d_inner.T
+    d *= q1 > 0.0
     return loss, d_w0, d_b0, features.T @ d, d.sum(axis=0)
 
 
@@ -286,7 +274,6 @@ def train_toy(cfg: TrainConfig) -> TrainingReport:
     params = AffinityParams.init(cfg.scene.feature_dim, seed=cfg.seed,
                                  scale=cfg.param_scale)
     losses: list[float] = []
-    buffers: dict = {}
     # Without the affinity head no parameter enters the loss, so each pool
     # scene's loss is computed once and repeated at every visit.
     fixed_losses = None if cfg.use_affinity else [
@@ -295,8 +282,7 @@ def train_toy(cfg: TrainConfig) -> TrainingReport:
         if fixed_losses is not None:
             loss = fixed_losses[step % len(pool)]
         else:
-            loss, d_w0, d_b0, d_w1, d_b1 = loss_and_grads(pool[step % len(pool)], params,
-                                                          buffers)
+            loss, d_w0, d_b0, d_w1, d_b1 = loss_and_grads(pool[step % len(pool)], params)
         if not np.isfinite(loss):
             raise NumericError(f"loss diverged at step {step}")
         losses.append(loss)

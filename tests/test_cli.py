@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import platform
+import resource
 import shutil
 import subprocess
 import sys
@@ -322,6 +324,8 @@ def test_run_and_eval_reject_malformed_manifest(tmp_path, capsys, masked_scene_a
         (lambda m: json.dumps({k: v for k, v in m.items() if k != "catalog"}),
          "missing key catalog"),
         (lambda m: "[1, 2]", "expected a JSON object"),
+        (_set("shape", "height", -5), "key shape.height must be >= 1, got -5"),
+        (_set("shape", "width", 0), "key shape.width must be >= 1, got 0"),
         (_set("detections", 0, "score", 1.5), "key detections[0].score: 1.5 outside [0, 1]"),
         (_set("detections", 1, "box", [20, 20, 40, 40]),
          "key detections[1].box: (20, 20, 40, 40) exceeds 32x32 grid"),
@@ -620,7 +624,9 @@ def test_train_held_out_pq_equals_eval_of_the_same_predictions(tmp_path):
     ("features.panc", np.zeros((32, 32)), "shape (32, 32), expected (32, 32, c)"),
     ("semantic_probs.panc", np.zeros((32, 32, 5)), "shape (32, 32, 5), expected (32, 32, 6)"),
     ("mask_000.panc", np.zeros((16, 16)), "shape (16, 16), expected (32, 32)"),
-], ids=["features-grid", "features-rank", "probs-channels", "mask-grid"])
+    ("features.panc", np.zeros((32, 32, 16), dtype=np.uint32),
+     "dtype uint32, expected float32 or float64"),
+], ids=["features-grid", "features-rank", "probs-channels", "mask-grid", "features-u32"])
 def test_cue_shape_faults_name_the_file(tmp_path, capsys, masked_scene_and_pred, name, tensor,
                                         message):
     scene_dir, pred = masked_scene_and_pred
@@ -651,12 +657,18 @@ def _short_b0(ckpt, _):
     return "{ckpt}/b0.panc: b0 has shape (8,), expected (16,)"
 
 
+def _u32_w0(ckpt, _):
+    w0 = container.read_tensor(ckpt / "w0.panc")
+    container.write_tensor(ckpt / "w0.panc", (w0 > 0).astype(np.uint32))
+    return "{ckpt}/w0.panc: w0 has dtype uint32, expected float32 or float64"
+
+
 def _narrow_scene(_, scene_dir):
     assert run_cli(*synth_args(scene_dir, extra=["--feature-dim", "8"])) == 0
     return "scene {scene} has 8-channel features, but checkpoint {ckpt} expects 16"
 
 
-@pytest.mark.parametrize("damage", [_nan_w1, _short_b0, _narrow_scene])
+@pytest.mark.parametrize("damage", [_nan_w1, _short_b0, _u32_w0, _narrow_scene])
 def test_run_rejects_checkpoint_faults_naming_the_files(tmp_path, capsys, scene_and_params,
                                                         damage):
     scene_dir, ckpt = scene_and_params
@@ -745,6 +757,29 @@ def test_run_and_eval_on_a_rewritten_tensor_exit_0_or_3_naming_it(masked_scene_a
                                     "--json", str(report)])]:
             code, err = _run_cli_capturing_stderr(*args)
             assert code in (0, 3), err
+            if dtype is np.uint32 and name.startswith("scene/"):
+                assert code == 3, err  # cues are float32 or float64
             if code == 3:
                 assert any(n in err for n in named), err
                 assert not out.exists()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap is kept on glibc only")
+def test_run_and_eval_keep_the_freed_heap_between_scenes(tmp_path):
+    """Repeated `run --checkpoint` + `eval` passes reuse the heap the first one
+    freed, instead of faulting every array of every scene in again."""
+    AffinityParams.init(16, seed=0).save(tmp_path / "checkpoint")
+    run = ["run", "--checkpoint", str(tmp_path / "checkpoint")]
+    evaluate = ["eval"]
+    for i in range(2):
+        scene, pred = tmp_path / f"scene{i}", tmp_path / f"pred{i}"
+        assert run_cli(*synth_args(scene, seed=i, extra=[
+            "--with-masks", "--height", "128", "--width", "128", "--instances", "24"])) == 0
+        run += ["--scene", str(scene), "--out", str(pred)]
+        evaluate += ["--scene", str(scene), "--pred", str(pred)]
+    faults = []
+    for _ in range(2):  # the first pass grows the heap to its high-water mark
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert run_cli(*run) == 0 and run_cli(*evaluate) == 0
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert faults[1] / 2 < 300, faults

@@ -181,6 +181,19 @@ def test_validate_reports_shapes_and_then_skips_values(array, shape, message):
     assert validate_scene(scene) == [message]
 
 
+@pytest.mark.parametrize("array", ["semantic_probs", "features", "mask"])
+def test_validate_reports_cues_that_are_not_float(array):
+    scene, _ = synth_scene(SynthConfig(with_masks=True), seed=1)
+    if array == "mask":
+        scene.detections[1].mask = scene.detections[1].mask.astype(np.uint32)
+        name = "detections[1].mask"
+    else:
+        setattr(scene, array, getattr(scene, array).astype(np.int64))
+        name = array
+    dtype = "uint32" if array == "mask" else "int64"
+    assert validate_scene(scene) == [f"{name}: dtype {dtype}, expected float32 or float64"]
+
+
 def test_validate_reports_degenerate_box():
     scene, _ = synth_scene(SynthConfig(), seed=0)
     det = scene.detections[0]
@@ -351,6 +364,8 @@ def _delete(key):
      "key ground_truth.segments[1].area must be an integer, got a number"),
     (_set(["ground_truth"], "gt_labels.panc"), "key ground_truth must be an object, got a string"),
     (_set(["version"], 2), "key version must be 1, got 2"),
+    (_set(["shape", "height"], -5), "key shape.height must be >= 1, got -5"),
+    (_set(["shape", "width"], 0), "key shape.width must be >= 1, got 0"),
 ])
 def test_manifest_schema_errors_name_file_and_key(saved_scene, edit, message):
     mpath = _edit_manifest(saved_scene, edit)
@@ -422,7 +437,7 @@ def test_scene_records_match_full_load(saved_scene):
     assert gt_records.segments == gt.segments
 
 
-@pytest.mark.parametrize("damage", ["truncate", "missing", "reshape"])
+@pytest.mark.parametrize("damage", ["truncate", "missing", "reshape", "u32"])
 @pytest.mark.parametrize("name", ["semantic_probs.panc", "features.panc", "mask_002.panc"])
 def test_scene_records_check_cue_files_like_full_load(saved_scene, damage, name):
     path = saved_scene / name
@@ -430,6 +445,8 @@ def test_scene_records_check_cue_files_like_full_load(saved_scene, damage, name)
         path.write_bytes(path.read_bytes()[:-8])
     elif damage == "missing":
         path.unlink()
+    elif damage == "u32":
+        write_tensor(path, read_tensor(path).astype(np.uint32))
     else:
         write_tensor(path, read_tensor(path)[:-1])
     with pytest.raises(FormatError) as full:

@@ -162,8 +162,8 @@ def gated_params(feature_dim, seed):
                    b1=rng.normal(scale=0.3, size=feature_dim))
 
 
-def assert_same_step(bundle, params, buffers=None):
-    fused = loss_and_grads(bundle, params, buffers)
+def assert_same_step(bundle, params):
+    fused = loss_and_grads(bundle, params)
     reference = reference_step(bundle, params)
     assert fused[0] == reference[0]
     for got, want in zip(fused[1:], reference[1:]):
@@ -179,13 +179,11 @@ def test_loss_and_grads_equals_reference_path(scene_cfg, seed, min_channels):
     bundle = prepare_training_scene(scene, gt, Variant.B, "predicted", 0.4)
     assert bundle.potential.n_channels >= min_channels
     params = gated_params(scene_cfg.feature_dim, seed)
-    buffers: dict = {}
-    assert_same_step(bundle, params, buffers)
-    # IGNORE pixels get no gradient; reused buffers must not leak values.
+    assert_same_step(bundle, params)
+    # IGNORE pixels get no gradient.
     label = bundle.target.label_map.copy()
     label[::3, ::2] = IGNORE
-    assert_same_step(replace(bundle, target=TargetMap(label)), params, buffers)
-    assert_same_step(bundle, params, buffers)
+    assert_same_step(replace(bundle, target=TargetMap(label)), params)
 
 
 def test_loss_and_grads_all_ignore_is_zero():
