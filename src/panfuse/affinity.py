@@ -17,7 +17,7 @@ bracketing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +88,13 @@ class AffinityParams:
         mpath = root / "params.json"
         manifest = container.read_manifest(mpath, "panfuse-affinity-params",
                                            "an affinity-params")
+        feature_dim = container.manifest_value(manifest, "feature_dim", int, mpath,
+                                               optional=True)
+        activation = container.manifest_value(manifest, "activation", str, mpath,
+                                              optional=True)
+        if activation not in (None, "rectifier"):
+            raise FormatError(f'{mpath}: key activation must be "rectifier", '
+                              f"got {json.dumps(activation)}")
         tensors = container.manifest_value(manifest, "tensors", dict, mpath)
         arrays = {}
         for name, rank in (("w0", 2), ("b0", 1), ("w1", 2), ("b1", 1)):
@@ -104,6 +111,10 @@ class AffinityParams:
             bad = np.argwhere(~np.isfinite(arr))
             if len(bad):
                 raise FormatError(f"{file}: non-finite value at index {tuple(bad[0].tolist())}")
+        width = len(arrays["w0"])
+        if feature_dim not in (None, width):
+            raise FormatError(f"{mpath}: key feature_dim must be {width}, the width of w0, "
+                              f"got {feature_dim}")
         return cls(**arrays)
 
 
@@ -130,17 +141,7 @@ class CostReport:
     projection_flops: int
 
     def to_dict(self) -> dict:
-        return {
-            "naive_flops": self.naive_flops,
-            "factored_flops": self.factored_flops,
-            "affinity_matrix_bytes": self.affinity_matrix_bytes,
-            "reduction_percent": self.reduction_percent,
-            "projection_flops": self.projection_flops,
-        }
-
-
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+        return asdict(self)
 
 
 def project_features(q: np.ndarray, params: AffinityParams) -> tuple[np.ndarray, np.ndarray]:
@@ -230,7 +231,6 @@ def backward_affinity(psi: np.ndarray, q: np.ndarray, params: AffinityParams,
     psi = require_tensor3(psi, "potential")
     q = require_tensor3(q, "features")
     grad_p = require_tensor3(grad_p, "output gradient")
-    params.validate()
     if grad_p.shape != psi.shape:
         raise DimensionError(
             f"output gradient shape {grad_p.shape} does not match potential {psi.shape}"
@@ -239,25 +239,23 @@ def backward_affinity(psi: np.ndarray, q: np.ndarray, params: AffinityParams,
         raise DimensionError(
             f"features grid {q.shape[:2]} does not match potential {psi.shape[:2]}"
         )
+    # Recompute the forward projections; this also checks params and width.
+    q0, q1 = project_features(q, params)
     h, w, k = psi.shape
     c = q.shape[2]
     qm = q.reshape(-1, c)
+    q0, q1 = q0.reshape(-1, c), q1.reshape(-1, c)
     psi_m = psi.reshape(-1, k)
     g = grad_p.reshape(-1, k)
-
-    # Recompute forward intermediates.
-    a0 = qm @ params.w0 + params.b0
-    a1 = qm @ params.w1 + params.b1
-    q0 = _relu(a0)
-    q1 = _relu(a1)
     inner = q1.T @ psi_m  # (c, k)
 
     d_psi = g + q1 @ (q0.T @ g)
     d_q0 = g @ inner.T
     d_inner = q0.T @ g  # (c, k)
     d_q1 = psi_m @ d_inner.T
-    d_a0 = d_q0 * (a0 > 0.0)
-    d_a1 = d_q1 * (a1 > 0.0)
+    # q > 0 exactly where the pre-activation is > 0 (NaN in neither).
+    d_a0 = d_q0 * (q0 > 0.0)
+    d_a1 = d_q1 * (q1 > 0.0)
     d_features = d_a0 @ params.w0.T + d_a1 @ params.w1.T
     return AffinityGrads(
         d_psi=d_psi.reshape(h, w, k),

@@ -14,12 +14,12 @@ gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DimensionError, PanfuseError
-from .numerics import IGNORE, log_softmax_channels, require_tensor3, softmax_channels
+from .numerics import IGNORE, require_tensor3
 from .potential import ChannelInfo
 from .scene import Box, ClassCatalog, Detection, GroundTruthPanoptic
 
@@ -41,15 +41,7 @@ class MatchResult:
         return {p.gt_index: p.detection_index for p in self.pairs}
 
     def to_json_dict(self) -> dict:
-        return {
-            "pairs": [
-                {"gt_index": p.gt_index, "detection_index": p.detection_index,
-                 "iou": p.iou}
-                for p in self.pairs
-            ],
-            "unmatched_gt": list(self.unmatched_gt),
-            "removed_duplicates": list(self.removed_duplicates),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -160,6 +152,29 @@ def build_target_map(gt: GroundTruthPanoptic, match: MatchResult,
     return TargetMap(label_map=lut[gt.label_map])
 
 
+def target_channels(label: np.ndarray,
+                    shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The target rule: which pixels of ``label`` carry a channel of logits
+    of ``shape`` (h, w, k), and which channel.
+
+    Returns (valid, channels): the (h, w) mask of non-IGNORE pixels and
+    their channels in row-major order. Raises if the grids differ or a
+    channel lies outside [0, k).
+    """
+    if label.shape != shape[:2]:
+        raise DimensionError(
+            f"target grid {label.shape} does not match logits {shape[:2]}"
+        )
+    valid = label != IGNORE
+    channels = label[valid]
+    if channels.size and (channels.max() >= shape[2] or channels.min() < 0):
+        raise DimensionError(
+            f"target references channel {channels.max()} "
+            f"but logits have {shape[2]} channels"
+        )
+    return valid, channels
+
+
 def panoptic_matching_loss(p: np.ndarray, target: TargetMap) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy over non-IGNORE pixels, with gradient.
 
@@ -168,26 +183,20 @@ def panoptic_matching_loss(p: np.ndarray, target: TargetMap) -> tuple[float, np.
     targets yield (0, zeros).
     """
     p = require_tensor3(p, "panoptic logits")
-    label = target.label_map
-    if label.shape != p.shape[:2]:
-        raise DimensionError(
-            f"target grid {label.shape} does not match logits {p.shape[:2]}"
-        )
-    valid = label != IGNORE
-    n_valid = int(valid.sum())
+    valid, channels = target_channels(target.label_map, p.shape)
+    n_valid = channels.size
     if n_valid == 0:
         return 0.0, np.zeros_like(p)
-    if label[valid].max() >= p.shape[2] or label[valid].min() < 0:
-        raise DimensionError(
-            f"target references channel {label[valid].max()} "
-            f"but logits have {p.shape[2]} channels"
-        )
-    log_probs = log_softmax_channels(p)
-    idx = np.where(valid, label, 0)[..., None].astype(np.int64)
+    # One max-shifted exp serves both the log-softmax and the softmax.
+    shifted = p - p.max(axis=2, keepdims=True)
+    e = np.exp(shifted)
+    sums = e.sum(axis=2, keepdims=True)
+    log_probs = shifted - np.log(sums)
+    idx = np.where(valid, target.label_map, 0)[..., None].astype(np.int64)
     picked = np.take_along_axis(log_probs, idx, axis=2)[..., 0]
     loss = float(-(picked[valid].sum()) / n_valid)
 
-    grad = softmax_channels(p)
+    grad = e / sums
     onehot = np.zeros_like(grad)
     np.put_along_axis(onehot, idx, 1.0, axis=2)
     grad = (grad - onehot) * valid[..., None] / n_valid

@@ -44,21 +44,6 @@ def require_tensor3(t: np.ndarray, name: str = "tensor") -> np.ndarray:
     return t
 
 
-def softmax_channels(t: np.ndarray) -> np.ndarray:
-    """Per-pixel softmax along the channel axis, with max subtraction."""
-    t = require_tensor3(t)
-    shifted = t - t.max(axis=2, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=2, keepdims=True)
-
-
-def log_softmax_channels(t: np.ndarray) -> np.ndarray:
-    """Numerically stable per-pixel log-softmax along the channel axis."""
-    t = require_tensor3(t)
-    shifted = t - t.max(axis=2, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
-
-
 def argmax_channels(t: np.ndarray) -> np.ndarray:
     """Per-pixel index of the maximal channel; ties go to the lowest index."""
     t = require_tensor3(t)

@@ -12,7 +12,7 @@ tensor file per array (see :mod:`panfuse.container`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -196,7 +196,7 @@ class SynthConfig:
             raise GenerationError("instance size range is empty")
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+        return asdict(self)
 
 
 def _truncate_box(box: Box, fraction: float) -> Box:

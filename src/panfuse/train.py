@@ -8,16 +8,15 @@ configs produce bit-identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .affinity import AffinityParams, apply_affinity_factored, backward_affinity, project_features
-from .errors import DimensionError, NumericError
+from .errors import NumericError
 from .inference import MergerParams, PanopticMap, heuristic_merge, infer_panoptic, panoptic_from_ground_truth
-from .matching import TargetMap, build_target_map, match_segments, panoptic_matching_loss
+from .matching import TargetMap, build_target_map, match_segments, panoptic_matching_loss, target_channels
 from .metrics import PQReport, PQStats
-from .numerics import IGNORE
 from .potential import DynamicPotential, Variant, append_stuff_boxes, build_potential, filter_by_score
 from .scene import Detection, GroundTruthPanoptic, SceneCues, SynthConfig, synth_scene
 
@@ -52,9 +51,8 @@ class TrainConfig:
         self.scene.validate()
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
+        d = asdict(self)
         d["variant"] = self.variant.value
-        d["scene"] = self.scene.to_dict()
         return d
 
 
@@ -79,8 +77,8 @@ class SceneBundle:
 
     Construction also derives what ``loss_and_grads`` needs from the
     potential, features and target, and checks the target against the
-    potential as ``panoptic_matching_loss`` does; the arrays must not
-    change afterwards.
+    potential by the loss's rule, ``matching.target_channels``; the arrays
+    must not change afterwards.
     """
 
     scene: SceneCues
@@ -96,20 +94,8 @@ class SceneBundle:
 
     def __post_init__(self) -> None:
         psi = self.potential.psi
-        h, w, k = psi.shape
-        label = self.target.label_map
-        if label.shape != (h, w):
-            raise DimensionError(
-                f"target grid {label.shape} does not match logits {(h, w)}"
-            )
-        flat_label = label.reshape(-1)
-        valid = flat_label != IGNORE
-        channels = flat_label[valid]
-        if channels.size and (channels.max() >= k or channels.min() < 0):
-            raise DimensionError(
-                f"target references channel {channels.max()} "
-                f"but logits have {k} channels"
-            )
+        k = psi.shape[2]
+        valid, channels = target_channels(self.target.label_map, psi.shape)
         features = self.scene.features
         self.psi_flat = psi.reshape(-1, k)
         self.features_flat = features.reshape(-1, features.shape[2])

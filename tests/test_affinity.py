@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -50,9 +52,14 @@ def test_project_hand_case():
 
 
 def test_project_width_mismatch():
+    # The backward pass recomputes the projections and names both widths too.
     q = np.zeros((2, 2, 3))
-    with pytest.raises(DimensionError):
-        project_features(q, random_params(4, 0))
+    params = random_params(4, 0)
+    message = "features have width 3, params expect 4"
+    with pytest.raises(DimensionError, match=message):
+        project_features(q, params)
+    with pytest.raises(DimensionError, match=message):
+        backward_affinity(np.zeros((2, 2, 2)), q, params, np.zeros((2, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +312,21 @@ def test_params_load_schema_errors(tmp_path, manifest, message):
     with pytest.raises(FormatError) as exc:
         AffinityParams.load(root)
     assert message.format(mpath=mpath, root=root) in str(exc.value)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("feature_dim", 8, "key feature_dim must be 4, the width of w0, got 8"),
+    ("feature_dim", "4", "key feature_dim must be an integer, got a string"),
+    ("activation", "sigmoid", 'key activation must be "rectifier", got "sigmoid"'),
+], ids=["wrong-width", "wrong-type", "wrong-activation"])
+def test_params_load_rejects_manifest_disagreeing_with_head(tmp_path, key, value, message):
+    root, mpath = _checkpoint(tmp_path)
+    manifest = json.loads(mpath.read_text())
+    manifest[key] = value
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError) as exc:
+        AffinityParams.load(root)
+    assert str(exc.value) == f"{mpath}: {message}"
 
 
 def test_params_load_rejects_wrong_rank_and_missing_file(tmp_path):

@@ -663,12 +663,35 @@ def _u32_w0(ckpt, _):
     return "{ckpt}/w0.panc: w0 has dtype uint32, expected float32 or float64"
 
 
+def _set_manifest_key(ckpt, key, value):
+    manifest = json.loads((ckpt / "params.json").read_text())
+    manifest[key] = value
+    (ckpt / "params.json").write_text(json.dumps(manifest))
+
+
+def _narrow_feature_dim(ckpt, _):
+    _set_manifest_key(ckpt, "feature_dim", 8)
+    return "{ckpt}/params.json: key feature_dim must be 16, the width of w0, got 8"
+
+
+def _float_feature_dim(ckpt, _):
+    _set_manifest_key(ckpt, "feature_dim", 16.0)
+    return "{ckpt}/params.json: key feature_dim must be an integer, got a number"
+
+
+def _sigmoid_activation(ckpt, _):
+    _set_manifest_key(ckpt, "activation", "sigmoid")
+    return '{ckpt}/params.json: key activation must be "rectifier", got "sigmoid"'
+
+
 def _narrow_scene(_, scene_dir):
     assert run_cli(*synth_args(scene_dir, extra=["--feature-dim", "8"])) == 0
     return "scene {scene} has 8-channel features, but checkpoint {ckpt} expects 16"
 
 
-@pytest.mark.parametrize("damage", [_nan_w1, _short_b0, _u32_w0, _narrow_scene])
+@pytest.mark.parametrize("damage", [_nan_w1, _short_b0, _u32_w0, _narrow_scene,
+                                    _narrow_feature_dim, _float_feature_dim,
+                                    _sigmoid_activation])
 def test_run_rejects_checkpoint_faults_naming_the_files(tmp_path, capsys, scene_and_params,
                                                         damage):
     scene_dir, ckpt = scene_and_params

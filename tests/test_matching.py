@@ -315,6 +315,15 @@ def test_loss_gradient_matches_finite_differences():
     assert np.abs(grad - numeric).max() / scale <= 1e-6
 
 
+def test_float32_mode_preserved():
+    # 32-bit logits keep a 32-bit gradient through the loss (bench parity mode).
+    rng = np.random.default_rng(4)
+    p = rng.normal(size=(3, 3, 4)).astype(np.float32)
+    labels = rng.integers(0, 4, size=(3, 3)).astype(np.int32)
+    _, grad = panoptic_matching_loss(p, TargetMap(labels))
+    assert grad.dtype == np.float32
+
+
 def test_loss_permutation_equivariant():
     rng = np.random.default_rng(16)
     p = rng.normal(size=(6, 6, 5))
