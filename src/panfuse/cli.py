@@ -12,28 +12,25 @@ import argparse
 import ctypes
 import functools
 import json
-import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import container
 from .affinity import AffinityParams, affinity_map_for_pixel, estimate_costs, project_features
-from .errors import CapacityError, CueError, DimensionError, FormatError, GenerationError, NumericError, PanfuseError, UsageError
+from .errors import CueError, FormatError, GenerationError, PanfuseError, UsageError
 from .inference import MergerParams, heuristic_merge, load_panoptic, panoptic_from_ground_truth, save_panoptic, trim_small_stuff
 from .matching import boxes_from_segments, match_segments
 from .metrics import PQStats, box_average_precision, class_pixel_counts, mean_iou, thing_stuff_confusion
+from .numerics import Bound
 from .potential import Variant, append_stuff_boxes
 from .scene import SynthConfig, load_scene, load_scene_records, save_scene, synth_scene, validate_scene
-from .train import TrainConfig, ablate, predict_panoptic, render_ablation_table, train_toy
+from .train import DETECTIONS_SOURCES, TrainConfig, ablate, predict_panoptic, render_ablation_table, train_toy
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
 
 
 @functools.cache
@@ -59,14 +56,8 @@ def _worker_count() -> int:
     return 1
 
 
-def _bounded(kind: type, low: float, high: float | None = None, low_open: bool = False,
-             high_open: bool = False):
-    """argparse type: a finite ``kind`` value above ``low`` (strictly when
-    ``low_open``) and at most ``high`` (strictly below it when ``high_open``)."""
-    if high is None:
-        rule = f"> {low}" if low_open else f">= {low}"
-    else:
-        rule = f"in {'(' if low_open else '['}{low}, {high}{')' if high_open else ']'}"
+def _bounded(kind: type, bound: Bound):
+    """argparse type: a ``kind`` value inside ``bound``."""
 
     def parse(text: str):
         try:
@@ -74,21 +65,58 @@ def _bounded(kind: type, low: float, high: float | None = None, low_open: bool =
         except ValueError:
             noun = "an integer" if kind is int else "a number"
             raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
-        above = value > low if low_open else value >= low
-        below = high is None or (value < high if high_open else value <= high)
-        if not (above and below and math.isfinite(value)):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        if value not in bound:
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
         return value
     return parse
 
 
-_positive_int = _bounded(int, 1)
-_count = _bounded(int, 0)  # seeds, areas, trims and instances
-_non_negative = _bounded(float, 0)
-_fraction = _bounded(float, 0, 1)  # thresholds and rates
-_open_fraction = _bounded(float, 0, 1, high_open=True)  # box truncation and confusion
-_grid_side = _bounded(int, 1, 128)
-_match_threshold = _bounded(float, 0, 1, low_open=True)
+# Flags whose library side is a function argument, not a config field.
+_count = _bounded(int, Bound(0))
+_positive_int = _bounded(int, Bound(1))
+
+# Flag -> config field. Each flag takes its type from the field default,
+# its range from the field's Bound and its default from the field.
+_SYNTH_FLAGS = {
+    "--height": "height", "--width": "width", "--n-stuff": "n_stuff", "--n-thing": "n_thing",
+    "--instances": "n_instances", "--stuff-segments": "stuff_segments",
+    "--truncation": "box_truncation", "--jitter": "box_jitter",
+    "--confusion": "confusion_rate", "--feature-noise": "feature_noise",
+    "--feature-dim": "feature_dim", "--with-masks": "with_masks", "--mask-noise": "mask_noise",
+}
+_TRAIN_FLAGS = {
+    "--steps": "steps", "--learning-rate": "learning_rate", "--no-affinity": "use_affinity",
+    "--detections-source": "detections_source", "--variant": "variant",
+    "--match-threshold": "match_threshold", "--scenes": "scenes",
+    "--eval-scenes": "eval_scenes", "--seed": "seed",
+}
+_MERGER_FLAGS = {
+    "--merger-score": "instance_score_threshold", "--merger-overlap": "overlap_threshold",
+    "--merger-stuff-area": "stuff_area_threshold",
+}
+_CHOICES = {"detections_source": DETECTIONS_SOURCES, "variant": [v.value for v in Variant]}
+
+
+def _add_field_flags(p: argparse.ArgumentParser, cls: type, flags: dict[str, str]) -> None:
+    by_name = {f.name: f for f in fields(cls)}
+    for flag, name in flags.items():
+        default = by_name[name].default
+        if isinstance(default, bool):  # the flag turns the default over
+            p.add_argument(flag, dest=name, action="store_false" if default else "store_true")
+        elif name in _CHOICES:
+            p.add_argument(flag, dest=name, choices=_CHOICES[name],
+                           default=getattr(default, "value", default))
+        else:
+            p.add_argument(flag, dest=name, default=default,
+                           type=_bounded(type(default), by_name[name].metadata["bound"]),
+                           metavar=flag[2:].replace("-", "_").upper())
+
+
+def _config(cls: type, args: argparse.Namespace, flags: dict[str, str], **extra):
+    """``cls`` from the values of ``flags``; the type of each field's default
+    converts its value, so the --variant string becomes a ``Variant``."""
+    return cls(**{f.name: type(f.default)(getattr(args, f.name))
+                  for f in fields(cls) if f.name in flags.values()}, **extra)
 
 
 def _pixel(text: str) -> tuple[int, int]:
@@ -100,36 +128,8 @@ def _pixel(text: str) -> tuple[int, int]:
     return row, col
 
 
-def _add_synth_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_count, default=0)
-    p.add_argument("--height", type=_grid_side, default=32)
-    p.add_argument("--width", type=_grid_side, default=32)
-    p.add_argument("--n-stuff", type=_positive_int, default=3)
-    p.add_argument("--n-thing", type=_positive_int, default=3)
-    p.add_argument("--instances", type=_count, default=3)
-    p.add_argument("--stuff-segments", type=_positive_int, default=3)
-    p.add_argument("--truncation", type=_open_fraction, default=0.0)
-    p.add_argument("--jitter", type=_non_negative, default=0.0)
-    p.add_argument("--confusion", type=_open_fraction, default=0.0)
-    p.add_argument("--feature-noise", type=_non_negative, default=0.1)
-    p.add_argument("--feature-dim", type=_positive_int, default=16)
-    p.add_argument("--with-masks", action="store_true")
-    p.add_argument("--mask-noise", type=_fraction, default=0.0)
-
-
-def _synth_config(args: argparse.Namespace) -> SynthConfig:
-    return SynthConfig(
-        height=args.height, width=args.width, n_stuff=args.n_stuff,
-        n_thing=args.n_thing, n_instances=args.instances,
-        stuff_segments=args.stuff_segments, box_truncation=args.truncation,
-        box_jitter=args.jitter, confusion_rate=args.confusion,
-        feature_noise=args.feature_noise, feature_dim=args.feature_dim,
-        with_masks=args.with_masks, mask_noise=args.mask_noise,
-    )
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _synth_config(args)
+    cfg = _config(SynthConfig, args, _SYNTH_FLAGS)
     scene, gt = synth_scene(cfg, args.seed)
     violations = validate_scene(scene)
     if violations:
@@ -159,13 +159,8 @@ def _run_one(args: argparse.Namespace, scene_path: str, out_path: str,
             )
 
     if args.mode == "heuristic":
-        merger = MergerParams(
-            instance_score_threshold=args.merger_score,
-            overlap_threshold=args.merger_overlap,
-            stuff_area_threshold=args.merger_stuff_area,
-        )
-        pmap = heuristic_merge(scene.semantic_probs, scene.detections, merger,
-                               scene.catalog)
+        pmap = heuristic_merge(scene.semantic_probs, scene.detections,
+                               _config(MergerParams, args, _MERGER_FLAGS), scene.catalog)
     else:
         pmap, _ = predict_panoptic(scene, params, Variant(args.variant),
                                    args.score_threshold)
@@ -211,15 +206,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = TrainConfig(
-        steps=args.steps, learning_rate=args.learning_rate, seed=args.seed,
-        use_affinity=not args.no_affinity,
-        detections_source=args.detections_source,
-        variant=Variant(args.variant), match_threshold=args.match_threshold,
-        scenes=args.scenes, scene=_synth_config(args),
-        eval_scenes=args.eval_scenes,
-    )
-    report = train_toy(cfg)
+    scene = _config(SynthConfig, args, _SYNTH_FLAGS)
+    report = train_toy(_config(TrainConfig, args, _TRAIN_FLAGS, scene=scene))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(
@@ -348,37 +336,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic scene container")
     p.add_argument("--out", required=True)
-    _add_synth_flags(p)
+    p.add_argument("--seed", type=_count, default=0)
+    _add_field_flags(p, SynthConfig, _SYNTH_FLAGS)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("run", help="run the fusion pipeline on scenes")
     p.add_argument("--scene", action="append", required=True)
     p.add_argument("--out", action="append", required=True)
     p.add_argument("--mode", choices=["argmax", "heuristic"], default="argmax")
-    p.add_argument("--variant", choices=["A", "B", "C"], default="B")
-    p.add_argument("--score-threshold", type=_fraction, default=0.5)
-    p.add_argument("--match-threshold", type=_match_threshold, default=0.5)
+    _add_field_flags(p, TrainConfig, {"--variant": "variant"})
+    p.add_argument("--score-threshold", type=_bounded(float, Bound(0, 1)), default=0.5)
+    _add_field_flags(p, TrainConfig, {"--match-threshold": "match_threshold"})
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--trim", type=_count, default=0)
-    p.add_argument("--merger-score", type=_fraction, default=0.5)
-    p.add_argument("--merger-overlap", type=_fraction, default=0.5)
-    p.add_argument("--merger-stuff-area", type=_count, default=64)
+    _add_field_flags(p, MergerParams, _MERGER_FLAGS)
     p.add_argument("--dump-match", action="store_true")
     p.add_argument("--dump-affinity", type=_pixel, default=None, metavar="ROW,COL")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("train", help="train the affinity head on synthetic scenes")
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=_positive_int, default=40000)
-    p.add_argument("--learning-rate", type=_bounded(float, 0, low_open=True), default=0.01)
-    p.add_argument("--no-affinity", action="store_true")
-    p.add_argument("--detections-source", choices=["predicted", "ground_truth"],
-                   default="predicted")
-    p.add_argument("--variant", choices=["A", "B", "C"], default="B")
-    p.add_argument("--match-threshold", type=_match_threshold, default=0.5)
-    p.add_argument("--scenes", type=_positive_int, default=64)
-    p.add_argument("--eval-scenes", type=_positive_int, default=6)
-    _add_synth_flags(p)
+    _add_field_flags(p, TrainConfig, _TRAIN_FLAGS)
+    _add_field_flags(p, SynthConfig, _SYNTH_FLAGS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score stored predictions against ground truth")
@@ -402,8 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="train and compare preset configurations")
     p.add_argument("--preset", choices=["affinity", "detections", "variants"],
                    required=True)
-    p.add_argument("--steps", type=_positive_int, default=40000)
-    p.add_argument("--seed", type=_count, default=0)
+    _add_field_flags(p, TrainConfig, {"--steps": "steps", "--seed": "seed"})
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_ablate)
     return parser
@@ -418,15 +396,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except UsageError as e:
+    except PanfuseError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FormatError, CueError, GenerationError, DimensionError, CapacityError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except (NumericError, PanfuseError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return e.exit_code
 
 
 if __name__ == "__main__":

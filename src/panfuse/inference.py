@@ -18,7 +18,7 @@ import numpy as np
 
 from . import container
 from .errors import CueError, DimensionError, FormatError
-from .numerics import SENTINEL_U32, VOID, argmax_channels, require_tensor3
+from .numerics import SENTINEL_U32, VOID, argmax_channels, bounded, check_bounds, require_tensor3
 from .potential import ChannelInfo
 from .scene import ClassCatalog, Detection, GroundTruthPanoptic
 
@@ -59,17 +59,12 @@ class PanopticMap:
 
 @dataclass(frozen=True)
 class MergerParams:
-    instance_score_threshold: float = 0.5
-    overlap_threshold: float = 0.5
-    stuff_area_threshold: int = 64
+    instance_score_threshold: float = bounded(0.5, 0, 1)
+    overlap_threshold: float = bounded(0.5, 0, 1)
+    stuff_area_threshold: int = bounded(64, 0)
 
     def validate(self) -> None:
-        if not (0.0 <= self.instance_score_threshold <= 1.0):
-            raise CueError("instance_score_threshold must be in [0, 1]")
-        if not (0.0 <= self.overlap_threshold <= 1.0):
-            raise CueError("overlap_threshold must be in [0, 1]")
-        if self.stuff_area_threshold < 0:
-            raise CueError("stuff_area_threshold must be >= 0")
+        check_bounds(self, CueError)
 
 
 def _numbered(parts: list[tuple[int, str, int]]) -> list[Segment]:

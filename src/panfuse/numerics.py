@@ -18,6 +18,9 @@ identical inputs are bit-reproducible on the same build.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field, fields
+
 import numpy as np
 
 from .errors import DimensionError
@@ -32,6 +35,43 @@ IGNORE = -1
 VOID = -1
 # Either sentinel as stored in a u32 grid on disk: the bits of int32 -1.
 SENTINEL_U32 = 0xFFFFFFFF
+
+
+@dataclass(frozen=True)
+class Bound:
+    """The finite values above ``low`` (strictly when ``low_open``) and at most
+    ``high`` (strictly below it when ``high_open``); no ``high``, no top."""
+
+    low: float
+    high: float | None = None
+    low_open: bool = False
+    high_open: bool = False
+
+    def __str__(self) -> str:
+        if self.high is None:
+            return f"> {self.low:g}" if self.low_open else f">= {self.low:g}"
+        return (f"in {'(' if self.low_open else '['}{self.low:g}, "
+                f"{self.high:g}{')' if self.high_open else ']'}")
+
+    def __contains__(self, value) -> bool:
+        # Written so that NaN fails every check.
+        above = value > self.low if self.low_open else value >= self.low
+        below = self.high is None or (value < self.high if self.high_open else value <= self.high)
+        return above and below and math.isfinite(value)
+
+
+def bounded(default, low: float, high: float | None = None, *, low_open: bool = False,
+            high_open: bool = False):
+    """A dataclass field whose range ``check_bounds`` and the CLI both read."""
+    return field(default=default, metadata={"bound": Bound(low, high, low_open, high_open)})
+
+
+def check_bounds(config, error: type[Exception]) -> None:
+    """Raise ``error`` naming the first field of ``config`` outside its ``Bound``."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if "bound" in f.metadata and value not in f.metadata["bound"]:
+            raise error(f"{f.name} must be {f.metadata['bound']}, got {value}")
 
 
 def require_tensor3(t: np.ndarray, name: str = "tensor") -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import container
 from .errors import DimensionError, FormatError, GenerationError
-from .numerics import DEFAULT_DTYPE, FLOAT_DTYPES, IGNORE
+from .numerics import DEFAULT_DTYPE, FLOAT_DTYPES, IGNORE, bounded, check_bounds
 
 
 @dataclass(frozen=True)
@@ -159,41 +159,27 @@ class SynthConfig:
     detection box.
     """
 
-    height: int = 32
-    width: int = 32
-    n_stuff: int = 3
-    n_thing: int = 3
-    n_instances: int = 3
-    stuff_segments: int = 3
-    instance_min: int = 8
+    height: int = bounded(32, 1, 128)
+    width: int = bounded(32, 1, 128)
+    n_stuff: int = bounded(3, 1)
+    n_thing: int = bounded(3, 1)
+    n_instances: int = bounded(3, 0)
+    stuff_segments: int = bounded(3, 1)
+    instance_min: int = bounded(8, 1)
     instance_max: int = 13
-    box_truncation: float = 0.0
-    box_jitter: float = 0.0
-    confusion_rate: float = 0.0
-    feature_noise: float = 0.1
-    feature_dim: int = 16
+    box_truncation: float = bounded(0.0, 0, 1, high_open=True)
+    box_jitter: float = bounded(0.0, 0)
+    confusion_rate: float = bounded(0.0, 0, 1, high_open=True)
+    feature_noise: float = bounded(0.1, 0)
+    feature_dim: int = bounded(16, 1)
     with_masks: bool = False
-    mask_noise: float = 0.0
+    mask_noise: float = bounded(0.0, 0, 1)
 
     def validate(self) -> None:
-        if not (1 <= self.height <= 128 and 1 <= self.width <= 128):
-            raise GenerationError(f"grid must be within 128x128, got {self.height}x{self.width}")
-        if not (0.0 <= self.box_truncation < 1.0):
-            raise GenerationError("box_truncation must be in [0, 1)")
-        if not (0.0 <= self.confusion_rate < 1.0):
-            raise GenerationError("confusion_rate must be in [0, 1)")
-        # Written so that NaN fails every check.
-        if not (0.0 <= self.box_jitter < np.inf and 0.0 <= self.feature_noise < np.inf):
-            raise GenerationError("box_jitter and feature_noise must be finite and >= 0")
-        if not (0.0 <= self.mask_noise <= 1.0):
-            raise GenerationError("mask_noise must be in [0, 1]")
-        if self.feature_dim < 1:
-            raise GenerationError(f"feature_dim must be >= 1, got {self.feature_dim}")
-        if self.n_instances < 0 or min(self.n_stuff, self.n_thing, self.stuff_segments) < 1:
-            raise GenerationError(
-                "need n_stuff >= 1, n_thing >= 1, stuff_segments >= 1, n_instances >= 0")
-        if not (1 <= self.instance_min <= self.instance_max):
-            raise GenerationError("instance size range is empty")
+        check_bounds(self, GenerationError)
+        if self.instance_min > self.instance_max:
+            raise GenerationError(f"instance_min must be <= instance_max ({self.instance_max}), "
+                                  f"got {self.instance_min}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -17,37 +17,35 @@ from .errors import NumericError
 from .inference import MergerParams, PanopticMap, heuristic_merge, infer_panoptic, panoptic_from_ground_truth
 from .matching import TargetMap, build_target_map, match_segments, panoptic_matching_loss, target_channels
 from .metrics import PQReport, PQStats
+from .numerics import bounded, check_bounds
 from .potential import DynamicPotential, Variant, append_stuff_boxes, build_potential, filter_by_score
 from .scene import Detection, GroundTruthPanoptic, SceneCues, SynthConfig, synth_scene
 
 EVAL_SEED_OFFSET = 10_007
 EVAL_SCORE_THRESHOLD = 0.5
+# Where training scenes take their thing detections from.
+DETECTIONS_SOURCES = ("predicted", "ground_truth")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    steps: int = 40_000
-    learning_rate: float = 0.01
-    seed: int = 0
+    steps: int = bounded(40_000, 1)
+    learning_rate: float = bounded(0.01, 0, low_open=True)
+    seed: int = bounded(0, 0)
     use_affinity: bool = True
-    detections_source: str = "predicted"  # "predicted" | "ground_truth"
+    detections_source: str = "predicted"  # one of DETECTIONS_SOURCES
     variant: Variant = Variant.B
-    match_threshold: float = 0.5
-    scenes: int = 64
+    match_threshold: float = bounded(0.5, 0, 1, low_open=True)
+    scenes: int = bounded(64, 1)
     scene: SynthConfig = field(default_factory=SynthConfig)
-    eval_scenes: int = 6
+    eval_scenes: int = bounded(6, 1)
     param_scale: float = 0.15
 
     def validate(self) -> None:
-        for name in ("steps", "scenes", "eval_scenes"):
-            if getattr(self, name) < 1:
-                raise NumericError(f"{name} must be >= 1")
-        if self.learning_rate <= 0:
-            raise NumericError("learning_rate must be > 0")
-        if self.detections_source not in ("predicted", "ground_truth"):
-            raise NumericError(
-                f"unknown detections_source {self.detections_source!r}"
-            )
+        check_bounds(self, NumericError)
+        if self.detections_source not in DETECTIONS_SOURCES:
+            raise NumericError(f"detections_source must be one of {DETECTIONS_SOURCES}, "
+                               f"got {self.detections_source!r}")
         self.scene.validate()
 
     def to_dict(self) -> dict:
@@ -82,7 +80,6 @@ class SceneBundle:
     """
 
     scene: SceneCues
-    gt: GroundTruthPanoptic
     potential: DynamicPotential
     target: TargetMap
     psi_flat: np.ndarray = field(init=False, repr=False)  # (pixels, k) view of psi
@@ -136,7 +133,7 @@ def prepare_training_scene(scene: SceneCues, gt: GroundTruthPanoptic,
     potential = build_potential(scene.semantic_probs, dets, variant, scene.catalog)
     potential = potential.without_detections(match.removed_duplicates)
     target = build_target_map(gt, match, potential.channels)
-    return SceneBundle(scene=scene, gt=gt, potential=potential, target=target)
+    return SceneBundle(scene=scene, potential=potential, target=target)
 
 
 def loss_and_grads(bundle: SceneBundle, params: AffinityParams,
@@ -373,27 +370,15 @@ class AblationRow:
     use_affinity: bool
     detections_source: str
     variant: str
-    pq_argmax: tuple[float, float, float]  # all / things / stuff
-    pq_heuristic: tuple[float, float, float] | None
+    pq_argmax: dict[str, float]  # PQ over "all", "things" and "stuff"
+    pq_heuristic: dict[str, float] | None
     initial_loss: float
     final_loss: float
 
     def to_json_dict(self) -> dict:
-        d = {
-            "label": self.label,
-            "masks": self.masks,
-            "use_affinity": self.use_affinity,
-            "detections_source": self.detections_source,
-            "variant": self.variant,
-            "pq_argmax": {"all": self.pq_argmax[0], "things": self.pq_argmax[1],
-                          "stuff": self.pq_argmax[2]},
-            "initial_loss": self.initial_loss,
-            "final_loss": self.final_loss,
-        }
-        if self.pq_heuristic is not None:
-            d["pq_heuristic"] = {"all": self.pq_heuristic[0],
-                                 "things": self.pq_heuristic[1],
-                                 "stuff": self.pq_heuristic[2]}
+        d = asdict(self)
+        if self.pq_heuristic is None:
+            del d["pq_heuristic"]
         return d
 
 
@@ -410,15 +395,14 @@ def ablate(configs: list[TrainConfig], labels: list[str] | None = None) -> list[
         pq_heu = None
         if cfg.scene.with_masks:
             heu = evaluate_pq(make_eval_pool(cfg), None, cfg.variant, mode="heuristic")
-            pq_heu = (heu.pq("all"), heu.pq("things"), heu.pq("stuff"))
-        pq = report.final_pq
+            pq_heu = {group: pq for group, (pq, _, _) in heu.aggregates.items()}
         rows.append(AblationRow(
             label=label,
             masks=cfg.scene.with_masks,
             use_affinity=cfg.use_affinity,
             detections_source=cfg.detections_source,
             variant=cfg.variant.value,
-            pq_argmax=(pq.pq("all"), pq.pq("things"), pq.pq("stuff")),
+            pq_argmax={group: pq for group, (pq, _, _) in report.final_pq.aggregates.items()},
             pq_heuristic=pq_heu,
             initial_loss=report.loss_curve[0],
             final_loss=report.loss_curve[-1],
@@ -431,12 +415,13 @@ def render_ablation_table(rows: list[AblationRow]) -> str:
               f"{'PQ':>7} {'PQ-th':>7} {'PQ-st':>7} {'PQ-heu':>7} {'loss':>8}")
     lines = [header]
     for r in rows:
-        heu = f"{r.pq_heuristic[0]:7.4f}" if r.pq_heuristic else "      -"
+        heu = f"{r.pq_heuristic['all']:7.4f}" if r.pq_heuristic else "      -"
+        pq = r.pq_argmax
         lines.append(
             f"{r.label:>18} {'y' if r.masks else 'n':>4} "
             f"{'y' if r.use_affinity else 'n':>4} {r.detections_source:>12} "
-            f"{r.variant:>4} {r.pq_argmax[0]:7.4f} {r.pq_argmax[1]:7.4f} "
-            f"{r.pq_argmax[2]:7.4f} {heu} {r.final_loss:8.4f}"
+            f"{r.variant:>4} {pq['all']:7.4f} {pq['things']:7.4f} "
+            f"{pq['stuff']:7.4f} {heu} {r.final_loss:8.4f}"
         )
     return "\n".join(lines)
 

@@ -211,6 +211,7 @@ def test_criterion_05_pq_correctness():
               f"({elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_06_affinity_ablation(truncation_runs):
     on, off = truncation_runs["on"], truncation_runs["off"]
     elapsed = truncation_runs["elapsed"]
@@ -222,6 +223,7 @@ def test_criterion_06_affinity_ablation(truncation_runs):
               f"{on.loss_curve[-1]:.4f} ({elapsed:.0f}s shared with 7)")
 
 
+@pytest.mark.slow
 def test_criterion_07_truncation_recovery(truncation_runs):
     cfg = truncation_runs["cfg"]
     pool = truncation_runs["pool"]
@@ -243,6 +245,7 @@ def test_criterion_07_truncation_recovery(truncation_runs):
               f"recovery bounded by the in-box fraction (+5 points)")
 
 
+@pytest.mark.slow
 def test_criterion_08_predicted_vs_ground_truth_training():
     t0 = time.time()
     jittered = SynthConfig(box_jitter=1.5, box_truncation=0.15)
@@ -256,6 +259,7 @@ def test_criterion_08_predicted_vs_ground_truth_training():
               f"ground-truth-detection PQ {gtd.final_pq.pq('all'):.4f} ({elapsed:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_09_variant_mechanism():
     t0 = time.time()
     # Injected thing->stuff confusion: additive composition must win on things.

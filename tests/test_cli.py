@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import panfuse
-from panfuse import container
+from panfuse import cli, container, errors
 from panfuse.affinity import AffinityParams
 from panfuse.cli import main
 from panfuse.inference import load_panoptic, panoptic_from_ground_truth, save_panoptic
@@ -145,6 +145,21 @@ def test_costs_flag_ranges_usage_error(capsys, flag, value):
     captured = capsys.readouterr()
     assert f"argument {flag}: must be >= 1, got {value}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("error, code", [
+    (errors.UsageError, 2), (errors.DimensionError, 3), (errors.FormatError, 3),
+    (errors.CueError, 3), (errors.CapacityError, 3), (errors.GenerationError, 3),
+    (errors.NumericError, 4), (errors.PanfuseError, 4),
+])
+def test_each_error_class_exits_with_its_code(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error("the command failed")
+
+    monkeypatch.setattr(cli, "cmd_costs", fail)
+    args = ["--h", "8", "--w", "8", "--c", "4", "--ndet", "1", "--nstuff", "1"]
+    assert run_cli("costs", *args) == error.exit_code == code
+    assert capsys.readouterr().err == "error: the command failed\n"
 
 
 @pytest.fixture
@@ -356,8 +371,6 @@ def test_run_and_eval_reject_malformed_manifest(tmp_path, capsys, masked_scene_a
 
 @pytest.mark.parametrize("extra", [[], ["--with-masks", "--jitter", "1.5"]])
 def test_eval_one_with_scene_records_equals_full_load(tmp_path, monkeypatch, extra):
-    from panfuse import cli
-
     scene_dir = tmp_path / "scene"
     assert run_cli(*synth_args(scene_dir, seed=8,
                                extra=["--instances", "5", "--truncation", "0.3", *extra])) == 0

@@ -124,6 +124,16 @@ def test_merge_requires_masks():
         heuristic_merge(v, [bare], MergerParams(), catalog)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("instance_score_threshold", 1.5), ("instance_score_threshold", np.nan),
+    ("overlap_threshold", -0.1), ("stuff_area_threshold", -1),
+])
+def test_merger_params_reject_out_of_range_field(name, value):
+    catalog, v, det = merge_fixture()
+    with pytest.raises(CueError, match=f"^{name} must be .*, got {value}$"):
+        heuristic_merge(v, [det], MergerParams(**{name: value}), catalog)
+
+
 def test_merge_deterministic_score_ties():
     catalog = ClassCatalog(n_stuff=1, n_thing=1)
     v = np.ones((4, 4, 2))

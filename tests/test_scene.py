@@ -118,6 +118,7 @@ def test_generation_error_when_unplaceable():
     ("feature_noise", np.nan), ("feature_noise", np.inf),
     ("mask_noise", np.nan), ("mask_noise", 5.0), ("mask_noise", -0.1),
     ("stuff_segments", 0), ("stuff_segments", -4),
+    ("instance_min", 0), ("instance_min", 14),
 ])
 def test_synth_config_rejects_out_of_range_knobs(field, value):
     with pytest.raises(GenerationError, match=field):

@@ -98,11 +98,21 @@ def test_ground_truth_detections_shape():
         assert det.box == seg.box and det.score == 1.0
 
 
-@pytest.mark.parametrize("name", ["steps", "scenes", "eval_scenes"])
-def test_config_rejects_counts_below_one(name):
-    for value in (0, -3):
-        with pytest.raises(NumericError, match=f"^{name} must be >= 1"):
-            small_cfg(**{name: value}).validate()
+@pytest.mark.parametrize("name, value", [
+    ("learning_rate", np.nan), ("learning_rate", np.inf), ("learning_rate", 0.0),
+    ("match_threshold", 0.0), ("match_threshold", 1.5), ("match_threshold", np.nan),
+    ("seed", -1),
+    ("steps", 0), ("steps", -3), ("scenes", 0), ("scenes", -3),
+    ("eval_scenes", 0), ("eval_scenes", -3),
+])
+def test_config_rejects_out_of_range_field(name, value):
+    with pytest.raises(NumericError, match=f"^{name} must be .*, got {value}$"):
+        small_cfg(**{name: value}).validate()
+
+
+def test_config_rejects_unknown_detections_source():
+    with pytest.raises(NumericError, match="^detections_source must be one of"):
+        small_cfg(detections_source="oracle").validate()
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
