@@ -53,7 +53,6 @@ from .metrics import (
     box_average_precision,
     class_pixel_counts,
     mean_iou,
-    panoptic_quality,
     thing_stuff_confusion,
 )
 from .numerics import IGNORE, VOID, argmax_channels
@@ -82,7 +81,6 @@ from .train import (
     TrainConfig,
     TrainingReport,
     ablate,
-    grad_check,
     train_toy,
 )
 

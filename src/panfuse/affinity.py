@@ -17,13 +17,14 @@ bracketing.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import container
-from .errors import CapacityError, DimensionError, FormatError
+from .errors import CapacityError, DimensionError, FormatError, NumericError
 from .numerics import FLOAT_DTYPES, require_tensor3
 
 NAIVE_PIXEL_CAP = 4096
@@ -280,13 +281,11 @@ def estimate_costs(h: int, w: int, d: int, c: int, n_det: int, n_stuff: int,
             raise DimensionError(f"{name} must be >= 1, got {val}")
     n = (h // d) * (w // d)
     k = n_det + n_stuff
-    naive = 2 * n * n * c + 2 * n * n * k
-    factored = 4 * c * n * k
-    reduction = 100.0 * (1.0 - factored / naive)
-    return CostReport(
-        naive_flops=naive,
-        factored_flops=factored,
-        affinity_matrix_bytes=n * n * bytes_per_scalar,
-        reduction_percent=reduction,
-        projection_flops=4 * n * c * c,
-    )
+    counts = {"naive_flops": 2 * n * n * c + 2 * n * n * k, "factored_flops": 4 * c * n * k,
+              "affinity_matrix_bytes": n * n * bytes_per_scalar,
+              "projection_flops": 4 * n * c * c}
+    for name, count in counts.items():  # `panfuse costs` prints each as a float
+        if count > sys.float_info.max:
+            raise NumericError(f"{name} exceeds the float range ({sys.float_info.max:.3e})")
+    reduction = 100.0 * (1.0 - counts["factored_flops"] / counts["naive_flops"])
+    return CostReport(reduction_percent=reduction, **counts)

@@ -19,6 +19,7 @@ name the file and the key path of any fault.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -66,6 +67,8 @@ def _open(path: str | Path):
         return open(path, "rb", buffering=0)
     except OSError as e:
         raise FormatError(f"cannot read tensor file {path!s}: {e.strerror}") from e
+    except ValueError as e:  # a NUL byte in the name, shown escaped
+        raise FormatError(f"cannot read tensor file {str(path)!r}: {e}") from e
 
 
 def _check_header(fh, path: str | Path) -> TensorHeader:
@@ -92,7 +95,7 @@ def _check_header(fh, path: str | Path) -> TensorHeader:
     if rank > 0 and min(dims) < 1:
         raise FormatError(f"zero-sized dim {dims} in {path!s}", offset=8)
     dtype = _DTYPES[dtype_code]
-    count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+    count = math.prod(dims)  # exact: an int64 product of u32 dims can wrap to the file size
     _check_size(path, dims_end + count * dtype.itemsize, size)
     return TensorHeader(dtype=dtype, shape=dims)
 

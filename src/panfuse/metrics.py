@@ -167,12 +167,6 @@ class PQStats:
         return PQReport(per_class=per_class, aggregates=aggregates)
 
 
-def panoptic_quality(pred: PanopticMap, gt: PanopticMap,
-                     catalog: ClassCatalog) -> PQReport:
-    """Single-scene PQ/SQ/RQ report."""
-    return PQStats().accumulate(pred, gt).report(catalog)
-
-
 def _pair_counts(gt: np.ndarray, pred: np.ndarray, n_gt: int, n_pred: int,
                  what: str) -> np.ndarray:
     """(n_gt + 1) x (n_pred + 1) pixel counts of (gt, pred) label pairs, labels

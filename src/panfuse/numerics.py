@@ -18,7 +18,7 @@ identical inputs are bit-reproducible on the same build.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -54,10 +54,11 @@ class Bound:
                 f"{self.high:g}{')' if self.high_open else ']'}")
 
     def __contains__(self, value) -> bool:
-        # Written so that NaN fails every check.
+        # Written so that NaN fails every check. The last one compares exactly,
+        # so it also fails an int too large for a float instead of raising.
         above = value > self.low if self.low_open else value >= self.low
         below = self.high is None or (value < self.high if self.high_open else value <= self.high)
-        return above and below and math.isfinite(value)
+        return above and below and abs(value) <= sys.float_info.max
 
 
 def bounded(default, low: float, high: float | None = None, *, low_open: bool = False,

@@ -51,12 +51,6 @@ class DynamicPotential:
     def n_channels(self) -> int:
         return self.psi.shape[2]
 
-    def channel_for_detection(self, detection_index: int) -> int | None:
-        for k, info in enumerate(self.channels):
-            if info.detection_index == detection_index:
-                return k
-        return None
-
     def without_detections(self, detection_indices) -> "DynamicPotential":
         """Drop the channels of the given detections (duplicate removal)."""
         drop = set(detection_indices)

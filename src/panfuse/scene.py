@@ -593,9 +593,11 @@ def _read_manifest(path: str | Path) -> _SceneManifest:
             class_id = value(s, "class_id", int, mpath, at)
             if not (0 <= class_id < catalog.n_classes):
                 raise FormatError(f"{mpath}: key {at}.class_id: {class_id} out of range")
-            gt_segments.append(GtSegment(index, class_id,
-                                         _box(s, mpath, at),
-                                         value(s, "area", int, mpath, at)))
+            box = _box(s, mpath, at)
+            if not box.inside(shape[1], shape[0]):  # the detection boxes' rule
+                raise FormatError(f"{mpath}: key {at}.box: {box.as_tuple()} exceeds "
+                                  f"{shape[1]}x{shape[0]} grid")
+            gt_segments.append(GtSegment(index, class_id, box, value(s, "area", int, mpath, at)))
     return _SceneManifest(root=root, catalog=catalog, shape=shape, cue_files=cue_files,
                           detections=detections, gt_labels=gt_labels, gt_segments=gt_segments)
 

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .affinity import AffinityParams, apply_affinity_factored, backward_affinity, project_features
+from .affinity import AffinityParams, apply_affinity_factored, project_features
 from .errors import NumericError
 from .inference import MergerParams, PanopticMap, heuristic_merge, infer_panoptic, panoptic_from_ground_truth
 from .matching import TargetMap, build_target_map, match_segments, panoptic_matching_loss, target_channels
@@ -285,81 +285,6 @@ def train_toy(cfg: TrainConfig) -> TrainingReport:
 
 
 # ---------------------------------------------------------------------------
-# Gradient checking
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GradCheckReport:
-    """Max-norm relative error per tensor, plus the smallest rectifier
-    pre-activation magnitude (finite differences are unreliable when a
-    pre-activation sits within epsilon of the kink)."""
-
-    max_rel_error: dict[str, float]
-    min_preactivation: float
-
-    def worst(self) -> float:
-        return max(self.max_rel_error.values())
-
-
-def _rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)
-    return float(np.abs(analytic - numeric).max() / scale)
-
-
-def grad_check(scene: SceneCues, gt: GroundTruthPanoptic, params: AffinityParams,
-               epsilon: float = 1e-5, variant: Variant = Variant.B,
-               match_threshold: float = 0.5) -> GradCheckReport:
-    """Compare analytic gradients of the scene loss against central
-    finite differences, for every input and parameter tensor."""
-    if not (0.0 < epsilon <= 1e-3):
-        raise NumericError(f"epsilon must be in (0, 1e-3], got {epsilon}")
-    bundle = prepare_training_scene(scene, gt, variant, "predicted", match_threshold)
-    psi = bundle.potential.psi
-    features = bundle.scene.features
-
-    q0, q1 = project_features(features, params)
-    p = apply_affinity_factored(psi, q0, q1)
-    _, grad_p = panoptic_matching_loss(p, bundle.target)
-    grads = backward_affinity(psi, features, params, grad_p)
-
-    flat = features.reshape(-1, features.shape[2])
-    pre0 = flat @ params.w0 + params.b0
-    pre1 = flat @ params.w1 + params.b1
-    min_pre = float(min(np.abs(pre0).min(), np.abs(pre1).min()))
-
-    def loss_with(psi_t, feat_t, prm):
-        qq0, qq1 = project_features(feat_t, prm)
-        return panoptic_matching_loss(
-            apply_affinity_factored(psi_t, qq0, qq1), bundle.target)[0]
-
-    def numeric_grad(base: np.ndarray, rebuild) -> np.ndarray:
-        out = np.zeros_like(base)
-        it = np.nditer(base, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            plus = base.copy()
-            plus[idx] += epsilon
-            minus = base.copy()
-            minus[idx] -= epsilon
-            out[idx] = (rebuild(plus) - rebuild(minus)) / (2 * epsilon)
-        return out
-
-    report: dict[str, float] = {}
-    report["psi"] = _rel_error(
-        grads.d_psi, numeric_grad(psi, lambda t: loss_with(t, features, params)))
-    report["features"] = _rel_error(
-        grads.d_features, numeric_grad(features, lambda t: loss_with(psi, t, params)))
-    for name, analytic in [("w0", grads.d_w0), ("b0", grads.d_b0),
-                           ("w1", grads.d_w1), ("b1", grads.d_b1)]:
-        def rebuild(t, _name=name):
-            kw = {"w0": params.w0, "b0": params.b0, "w1": params.w1, "b1": params.b1}
-            kw[_name] = t
-            return loss_with(psi, features, AffinityParams(**kw))
-        report[name] = _rel_error(analytic, numeric_grad(getattr(params, name), rebuild))
-    return GradCheckReport(max_rel_error=report, min_preactivation=min_pre)
-
-
-# ---------------------------------------------------------------------------
 # Ablations
 # ---------------------------------------------------------------------------
 
@@ -424,29 +349,3 @@ def render_ablation_table(rows: list[AblationRow]) -> str:
             f"{pq['stuff']:7.4f} {heu} {r.final_loss:8.4f}"
         )
     return "\n".join(lines)
-
-
-def object_recovery(scene: SceneCues, gt: GroundTruthPanoptic,
-                    params: AffinityParams | None,
-                    variant: Variant = Variant.B) -> list[float]:
-    """Fraction of each ground-truth thing segment recovered by inference.
-
-    A pixel counts as recovered when the argmax assigns it to the channel
-    of the detection matched to that segment.
-    """
-    p, potential, dets = panoptic_logits(scene, params, variant)
-    match = match_segments(gt, dets, 0.1, scene.catalog)
-    winners = p.argmax(axis=2)
-    det_for_gt = match.detection_for_gt()
-    fractions = []
-    for seg in gt.segments:
-        if not scene.catalog.is_thing(seg.class_id):
-            continue
-        det_index = det_for_gt.get(seg.index)
-        if det_index is None:
-            fractions.append(0.0)
-            continue
-        channel = potential.channel_for_detection(det_index)
-        pixels = gt.label_map == seg.index
-        fractions.append(float((winners[pixels] == channel).mean()))
-    return fractions

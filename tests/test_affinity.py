@@ -15,6 +15,8 @@ from panfuse.affinity import (
 from panfuse.container import write_tensor
 from panfuse.errors import CapacityError, DimensionError, FormatError
 
+from gradients import affinity_errors
+
 
 def random_params(c, seed, scale=1.0):
     rng = np.random.default_rng(seed)
@@ -183,22 +185,6 @@ def test_backward_residual_only_with_zero_projections():
     assert np.array_equal(grads.d_psi, g)
 
 
-def finite_diff(f, x, eps=1e-5):
-    out = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        xp = x.copy(); xp[idx] += eps
-        xm = x.copy(); xm[idx] -= eps
-        out[idx] = (f(xp) - f(xm)) / (2 * eps)
-    return out
-
-
-def rel_err(a, n):
-    scale = max(np.abs(a).max(), np.abs(n).max(), 1e-12)
-    return np.abs(a - n).max() / scale
-
-
 def test_backward_matches_finite_differences():
     # Scalarize the applier output with a fixed weighting and compare every
     # gradient against central differences.
@@ -210,20 +196,13 @@ def test_backward_matches_finite_differences():
         params = random_params(c, 100 + seed, scale=0.5)
         weight = rng.normal(size=(h, w, k))
 
-        def scalar(psi_t=psi, q_t=q, prm=params):
+        def scalar(psi_t, q_t, prm):
             q0, q1 = project_features(q_t, prm)
             return float((apply_affinity_factored(psi_t, q0, q1) * weight).sum())
 
         grads = backward_affinity(psi, q, params, weight)
-        assert rel_err(grads.d_psi, finite_diff(lambda t: scalar(psi_t=t), psi)) <= 1e-6
-        assert rel_err(grads.d_features, finite_diff(lambda t: scalar(q_t=t), q)) <= 1e-6
-        for name in ("w0", "b0", "w1", "b1"):
-            def with_param(t, _n=name):
-                kw = {n: getattr(params, n) for n in ("w0", "b0", "w1", "b1")}
-                kw[_n] = t
-                return scalar(prm=AffinityParams(**kw))
-            assert rel_err(getattr(grads, f"d_{name}"),
-                           finite_diff(with_param, getattr(params, name))) <= 1e-6
+        errors = affinity_errors(scalar, grads, psi, q, params)
+        assert max(errors.values()) <= 1e-6, errors
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +284,8 @@ def _checkpoint(tmp_path):
      "{mpath}: key tensors.w0 must be a string, got an integer"),
     ('{"format": "panfuse-affinity-params", "version": "1"}',
      '{mpath}: key version must be 1, got "1"'),
+    ('{"format": "panfuse-affinity-params", "tensors": {"w0": "w\\u00000.panc"}}',
+     "cannot read tensor file '{root}/w\\x000.panc': embedded null byte"),
 ])
 def test_params_load_schema_errors(tmp_path, manifest, message):
     root, mpath = _checkpoint(tmp_path)

@@ -31,6 +31,10 @@ def run_cli(*args):
     return main(list(args))
 
 
+# An integer too large for a float.
+HUGE = "1" + "0" * 400
+
+
 def synth_args(out, seed=3, extra=()):
     return ["synth", "--out", str(out), "--seed", str(seed), *extra]
 
@@ -105,7 +109,7 @@ def test_run_dump_match_and_affinity(tmp_path):
     assert np.array_equal(amap, affinity_map_for_pixel(q0, q1, (4, 7)))
 
 
-@pytest.mark.parametrize("steps", ["0", "-3", "x"])
+@pytest.mark.parametrize("steps", ["0", "-3", "x", pytest.param(HUGE, id="1e400")])
 def test_train_and_ablate_steps_usage_error(tmp_path, capsys, steps):
     for flag in ("--steps", "--scenes", "--eval-scenes", "--match-threshold", "--learning-rate",
                  "--feature-dim"):
@@ -119,7 +123,8 @@ def test_train_and_ablate_steps_usage_error(tmp_path, capsys, steps):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--seed", "-1"), ("--feature-dim", "0"), ("--feature-dim", "-1"),
+    ("--seed", "-1"), pytest.param("--seed", HUGE, id="--seed-1e400"),
+    ("--feature-dim", "0"), ("--feature-dim", "-1"),
     ("--jitter", "nan"), ("--jitter", "inf"), ("--jitter", "-1"),
     ("--feature-noise", "nan"), ("--feature-noise", "-0.5"),
     ("--mask-noise", "nan"), ("--mask-noise", "5"), ("--mask-noise", "-0.1"),
@@ -138,12 +143,21 @@ def test_synth_and_train_flag_ranges_usage_error(tmp_path, capsys, flag, value):
 
 
 @pytest.mark.parametrize("flag", ["--h", "--w", "--d", "--c", "--ndet", "--nstuff", "--bytes"])
-@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("value", ["0", "-5", pytest.param(HUGE, id="1e400")])
 def test_costs_flag_ranges_usage_error(capsys, flag, value):
     args = {"--h": "32", "--w": "32", "--c": "16", "--ndet": "4", "--nstuff": "3", flag: value}
     assert run_cli("costs", *(x for item in args.items() for x in item)) == 2
     captured = capsys.readouterr()
     assert f"argument {flag}: must be >= 1, got {value}" in captured.err
+    assert captured.out == ""
+
+
+def test_costs_beyond_float_range_numeric_error(capsys):
+    # A valid --h whose squared pixel count no float can hold.
+    assert run_cli("costs", "--h", "1" + "0" * 300, "--w", "32", "--c", "16",
+                   "--ndet", "4", "--nstuff", "3") == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: naive_flops exceeds the float range (1.798e+308)\n"
     assert captured.out == ""
 
 
@@ -355,6 +369,11 @@ def test_run_and_eval_reject_malformed_manifest(tmp_path, capsys, masked_scene_a
         (grid_value(99), f"key ground_truth.label_map: {labels} holds 99 at pixel (0, 0)"),
         (grid_value(2**31), f"key ground_truth.label_map: {labels} holds 2147483648 at pixel"),
     ]
+    nul_file = str(scene_dir / "feat\x00ures.panc")
+    cases = [(edit, f"{mpath}: {message}") for edit, message in cases] + [
+        (_set("tensors", "features", "feat\x00ures.panc"),
+         f"cannot read tensor file {nul_file!r}: embedded null byte"),
+    ]
     for edit, message in cases:
         labels.write_bytes(original_labels)
         mpath.write_text(edit(json.loads(original)))
@@ -363,10 +382,10 @@ def test_run_and_eval_reject_malformed_manifest(tmp_path, capsys, masked_scene_a
             out = tmp_path / "again"
             assert run_cli("run", "--scene", str(scene_dir), "--out", str(out),
                            "--mode", mode) == 3, message
-            assert f"{mpath}: {message}" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
             assert not out.exists()
         assert run_cli("eval", "--scene", str(scene_dir), "--pred", str(pred)) == 3, message
-        assert f"{mpath}: {message}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [[], ["--with-masks", "--jitter", "1.5"]])
@@ -755,6 +774,7 @@ def masked_scene_and_pred_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("damage")
     assert run_cli(*synth_args(root / "scene", extra=["--with-masks", "--instances", "4"])) == 0
     assert run_cli("run", "--scene", str(root / "scene"), "--out", str(root / "pred")) == 0
+    AffinityParams.init(16, seed=0).save(root / "checkpoint")
     return root
 
 
@@ -795,6 +815,79 @@ def test_run_and_eval_on_a_rewritten_tensor_exit_0_or_3_naming_it(masked_scene_a
             assert code in (0, 3), err
             if dtype is np.uint32 and name.startswith("scene/"):
                 assert code == 3, err  # cues are float32 or float64
+            if code == 3:
+                assert any(n in err for n in named), err
+                assert not out.exists()
+
+
+# Each fuzzed file, with the manifest and the key path that name it; the
+# prediction grid has a fixed name.
+_NAMED_BY = {
+    "scene/semantic_probs.panc": ("scene/manifest.json", ("tensors", "semantic_probs")),
+    "scene/features.panc": ("scene/manifest.json", ("tensors", "features")),
+    "scene/mask_002.panc": ("scene/manifest.json", ("detections", 2, "mask")),
+    "scene/gt_labels.panc": ("scene/manifest.json", ("ground_truth", "label_map")),
+    "checkpoint/w1.panc": ("checkpoint/params.json", ("tensors", "w1")),
+    "checkpoint/b0.panc": ("checkpoint/params.json", ("tensors", "b0")),
+    "pred/panoptic.panc": None,
+}
+# PANC header fields as (offset, bytes); "dim" is dim 0, moved to a drawn dim.
+# Values 0-3 are drawn often: they are the valid dtype codes and the smallest dims.
+_HEADER_FIELDS = {"magic": (0, 4), "version": (4, 2), "dtype": (6, 1), "rank": (7, 1),
+                  "dim": (8, 4)}
+
+
+def _rename(root, name, data):
+    """Rewrite the manifest string that names ``name``; return the manifest and
+    the path it now names, as an error message shows it."""
+    manifest_name, keys = _NAMED_BY[name]
+    mpath = root / manifest_name
+    manifest = json.loads(mpath.read_text())
+    node = manifest
+    for key in keys[:-1]:
+        node = node[key]
+    old = node[keys[-1]]
+    node[keys[-1]] = new = data.draw(
+        st.sampled_from(["missing.panc", "."])
+        | st.integers(0, len(old)).map(lambda i: old[:i] + "\x00" + old[i:]))
+    mpath.write_text(json.dumps(manifest))
+    return [str(mpath), repr(str(mpath.parent / new))[1:-1]]
+
+
+@given(name=st.sampled_from(sorted(_NAMED_BY)), data=st.data())
+def test_run_and_eval_on_damaged_bytes_exit_0_or_3_naming_the_file(masked_scene_and_pred_dir,
+                                                                  name, data):
+    """One damaged header field, a truncated file or a rewritten file name (NUL
+    byte included) makes `run --checkpoint` and `eval` pass or exit 3 naming the
+    file or its manifest, and then nothing is written."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        dirs = {d: masked_scene_and_pred_dir / d for d in ("scene", "pred", "checkpoint")}
+        damaged = name.split("/")[0]  # only its directory is copied
+        dirs[damaged] = shutil.copytree(dirs[damaged], root / damaged)
+        path = root / name
+        raw = bytearray(path.read_bytes())
+        named = [str(path)]
+        damage = data.draw(st.sampled_from(
+            [*_HEADER_FIELDS, "truncate", *(["rename"] if _NAMED_BY[name] else [])]))
+        if damage == "rename":
+            named += _rename(root, name, data)
+        elif damage == "truncate":
+            path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+        else:
+            offset, width = _HEADER_FIELDS[damage]
+            offset += 4 * data.draw(st.integers(0, raw[7] - 1)) if damage == "dim" else 0
+            value = data.draw(st.integers(0, 3) | st.integers(0, 256**width - 1))
+            raw[offset:offset + width] = value.to_bytes(width, "little")
+            path.write_bytes(raw)
+        scene = ["--scene", str(dirs["scene"])]
+        report = root / "eval.json"
+        for out, args in [(root / "out", ["run", *scene, "--out", str(root / "out"),
+                                          "--checkpoint", str(dirs["checkpoint"])]),
+                          (report, ["eval", *scene, "--pred", str(dirs["pred"]),
+                                    "--json", str(report)])]:
+            code, err = _run_cli_capturing_stderr(*args)
+            assert code in (0, 3), err
             if code == 3:
                 assert any(n in err for n in named), err
                 assert not out.exists()

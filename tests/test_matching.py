@@ -23,6 +23,8 @@ from panfuse.scene import (
     synth_scene,
 )
 
+from gradients import finite_diff, rel_err
+
 
 def brute_force_total_iou(gt_segments, dets, t, catalog):
     """Enumerate all feasible partial assignments and return the best total."""
@@ -233,6 +235,12 @@ def build_pipeline(scene, gt, t=0.5):
     return dets, match, pot
 
 
+def detection_channel(pot, detection_index):
+    """The potential channel of a detection; None when it has none."""
+    return next((k for k, info in enumerate(pot.channels)
+                 if info.detection_index == detection_index), None)
+
+
 def test_target_map_perfect_detections():
     scene, gt = synth_scene(SynthConfig(), seed=14)
     _, match, pot = build_pipeline(scene, gt)
@@ -241,7 +249,7 @@ def test_target_map_perfect_detections():
     # Every stuff pixel maps to its class channel.
     for seg in gt.segments:
         if scene.catalog.is_stuff(seg.class_id):
-            channel = pot.channel_for_detection(seg.class_id)
+            channel = detection_channel(pot, seg.class_id)
             assert (target.label_map[gt.label_map == seg.index] == channel).all()
 
 
@@ -262,7 +270,7 @@ def test_target_map_stuff_only_scene():
     _, match, pot = build_pipeline(scene, gt)
     target = build_target_map(gt, match, pot.channels)
     for seg in gt.segments:
-        channel = pot.channel_for_detection(seg.class_id)
+        channel = detection_channel(pot, seg.class_id)
         assert (target.label_map[gt.label_map == seg.index] == channel).all()
 
 
@@ -302,17 +310,8 @@ def test_loss_gradient_matches_finite_differences():
     labels[0, :4] = IGNORE
     target = TargetMap(labels)
     _, grad = panoptic_matching_loss(p, target)
-    eps = 1e-6
-    numeric = np.zeros_like(p)
-    it = np.nditer(p, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        pp = p.copy(); pp[idx] += eps
-        pm = p.copy(); pm[idx] -= eps
-        numeric[idx] = (panoptic_matching_loss(pp, target)[0]
-                        - panoptic_matching_loss(pm, target)[0]) / (2 * eps)
-    scale = max(np.abs(grad).max(), np.abs(numeric).max())
-    assert np.abs(grad - numeric).max() / scale <= 1e-6
+    numeric = finite_diff(lambda t: panoptic_matching_loss(t, target)[0], p, eps=1e-6)
+    assert rel_err(grad, numeric) <= 1e-6
 
 
 def test_float32_mode_preserved():

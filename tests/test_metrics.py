@@ -19,7 +19,6 @@ from panfuse.metrics import (
     box_average_precision,
     class_pixel_counts,
     mean_iou,
-    panoptic_quality,
     thing_stuff_confusion,
 )
 from panfuse.numerics import VOID, argmax_channels
@@ -45,7 +44,7 @@ def test_pq_perfect_prediction():
     catalog = ClassCatalog(n_stuff=2, n_thing=1)
     scene, gt = synth_scene(SynthConfig(n_stuff=2, n_thing=1), seed=3)
     gt_map = panoptic_from_ground_truth(gt, scene.catalog)
-    report = panoptic_quality(gt_map, gt_map, scene.catalog)
+    report = PQStats().accumulate(gt_map, gt_map).report(scene.catalog)
     for r in report.per_class.values():
         assert r.pq == 1.0 and r.sq == 1.0 and r.rq == 1.0
     assert report.aggregates["all"] == (1.0, 1.0, 1.0)
@@ -65,7 +64,7 @@ def test_pq_hand_case():
     pred_grid[0:3, :] = 1  # 30 px subset of gt segment 1: IoU 30/50 = 0.6
     pred_map = pmap_from_grid(pred_grid, [0, 1], ["stuff", "thing"])
 
-    report = panoptic_quality(pred_map, gt_map, catalog)
+    report = PQStats().accumulate(pred_map, gt_map).report(catalog)
     thing = report.per_class[1]
     assert abs(thing.sq - 0.6) < 1e-12
     assert abs(thing.rq - 2 / 3) < 1e-12
@@ -83,7 +82,7 @@ def test_pq_void_exemptions():
     pred_grid[:4, :] = 0
     pred_grid[5:8, :] = 1
     pred_map = pmap_from_grid(pred_grid, [0, 1], ["stuff", "thing"])
-    report = panoptic_quality(pred_map, gt_map, catalog)
+    report = PQStats().accumulate(pred_map, gt_map).report(catalog)
     assert report.per_class[0].tp == 1
     assert 1 not in report.per_class or report.per_class[1].fp == 0
 
@@ -118,7 +117,7 @@ def test_pq_instance_relabeling_invariant():
     relabeled_grid[:4, :4] = 2
     relabeled_grid[4:, 4:] = 1
     pred = pmap_from_grid(relabeled_grid, [0, 1, 1], ["stuff", "thing", "thing"])
-    report = panoptic_quality(pred, gt_map, catalog)
+    report = PQStats().accumulate(pred, gt_map).report(catalog)
     assert report.aggregates["all"] == (1.0, 1.0, 1.0)
 
 
@@ -153,8 +152,8 @@ def test_trim_changes_only_stuff_counts():
     stuff_areas = [s.area for s in gt_map.segments if s.kind == "stuff"]
     threshold = sorted(stuff_areas)[0] + 1  # voids at least one stuff segment
     trimmed = trim_small_stuff(gt_map, threshold)
-    before = panoptic_quality(gt_map, gt_map, scene.catalog)
-    after = panoptic_quality(trimmed, gt_map, scene.catalog)
+    before = PQStats().accumulate(gt_map, gt_map).report(scene.catalog)
+    after = PQStats().accumulate(trimmed, gt_map).report(scene.catalog)
     for cid in before.per_class:
         b, a = before.per_class[cid], after.per_class[cid]
         if scene.catalog.is_thing(cid):

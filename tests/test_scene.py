@@ -119,6 +119,8 @@ def test_generation_error_when_unplaceable():
     ("mask_noise", np.nan), ("mask_noise", 5.0), ("mask_noise", -0.1),
     ("stuff_segments", 0), ("stuff_segments", -4),
     ("instance_min", 0), ("instance_min", 14),
+    pytest.param("height", 10**400, id="height-1e400"),
+    pytest.param("n_stuff", 10**400, id="n_stuff-1e400"),
 ])
 def test_synth_config_rejects_out_of_range_knobs(field, value):
     with pytest.raises(GenerationError, match=field):
@@ -290,6 +292,8 @@ def _panc(dtype_code=1, dims=(2, 3), version=1, payload=None, magic=b"PANC"):
     (_panc(dims=(2, 0), payload=b""), "zero-sized dim (2, 0)", 8),
     (_panc()[:-1], "payload size mismatch in {path}: expected 64 bytes, got 63", 63),
     (_panc() + b"\x00", "payload size mismatch in {path}: expected 64 bytes, got 65", 64),
+    pytest.param(_panc(dtype_code=0, dims=(2**16,) * 4, payload=b""),
+                 "expected 73786976294838206488 bytes, got 24", 24, id="element-count-beyond-int64"),
 ])
 def test_tensor_damage_reported_by_both_readers(tmp_path, data, message, offset):
     path = tmp_path / "d.panc"
@@ -367,6 +371,8 @@ def _delete(key):
     (_set(["version"], 2), "key version must be 1, got 2"),
     (_set(["shape", "height"], -5), "key shape.height must be >= 1, got -5"),
     (_set(["shape", "width"], 0), "key shape.width must be >= 1, got 0"),
+    (_set(["ground_truth", "segments", 5, "box"], [0, 0, 500, 500]),
+     "key ground_truth.segments[5].box: (0, 0, 500, 500) exceeds 32x32 grid"),
 ])
 def test_manifest_schema_errors_name_file_and_key(saved_scene, edit, message):
     mpath = _edit_manifest(saved_scene, edit)
