@@ -66,7 +66,7 @@ def _bounded(kind: type, bound: Bound):
             noun = "an integer" if kind is int else "a number"
             raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
         if value not in bound:
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+            raise argparse.ArgumentTypeError(bound.refusal(value, text))
         return value
     return parse
 
@@ -162,8 +162,8 @@ def _run_one(args: argparse.Namespace, scene_path: str, out_path: str,
         pmap = heuristic_merge(scene.semantic_probs, scene.detections,
                                _config(MergerParams, args, _MERGER_FLAGS), scene.catalog)
     else:
-        pmap, _ = predict_panoptic(scene, params, Variant(args.variant),
-                                   args.score_threshold)
+        pmap = predict_panoptic(scene, params, Variant(args.variant),
+                                args.score_threshold)
 
     if args.trim > 0:
         pmap = trim_small_stuff(pmap, args.trim)

@@ -60,6 +60,14 @@ class Bound:
         below = self.high is None or (value < self.high if self.high_open else value <= self.high)
         return above and below and abs(value) <= sys.float_info.max
 
+    def refusal(self, value, text: str | None = None) -> str:
+        """Why ``value``, shown as ``text`` (its ``str`` by default), is refused."""
+        text = str(value) if text is None else text
+        if type(value) is int and abs(value) > sys.float_info.max:
+            return (f"must be {self}, got {text[:17]}... ({len(str(abs(value)))} digits), "
+                    f"which exceeds the float range ({sys.float_info.max:.3e})")
+        return f"must be {self}, got {text}"
+
 
 def bounded(default, low: float, high: float | None = None, *, low_open: bool = False,
             high_open: bool = False):
@@ -72,7 +80,7 @@ def check_bounds(config, error: type[Exception]) -> None:
     for f in fields(config):
         value = getattr(config, f.name)
         if "bound" in f.metadata and value not in f.metadata["bound"]:
-            raise error(f"{f.name} must be {f.metadata['bound']}, got {value}")
+            raise error(f"{f.name} {f.metadata['bound'].refusal(value)}")
 
 
 def require_tensor3(t: np.ndarray, name: str = "tensor") -> np.ndarray:

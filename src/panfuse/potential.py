@@ -12,17 +12,21 @@ confidence score, and - depending on the composition variant - the mask:
 Stuff channels never carry masks; an absent mask is the multiplicative
 identity (1) under B and the additive identity (0) under C, which makes
 B and C coincide with the mask-free form when no masks are supplied.
+
+Channel k belongs to detection k. The part of a box beyond the grid adds
+nothing (a box wholly outside leaves an all-zero channel); the scene
+loaders reject such boxes.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CueError, DimensionError
-from .numerics import DEFAULT_DTYPE, require_tensor3
+from .numerics import require_tensor3
 from .scene import ClassCatalog, Detection, full_image_box
 
 
@@ -45,7 +49,6 @@ class ChannelInfo:
 class DynamicPotential:
     psi: np.ndarray  # (h, w, n_channels)
     channels: list[ChannelInfo]
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def n_channels(self) -> int:
@@ -59,7 +62,6 @@ class DynamicPotential:
         return DynamicPotential(
             psi=self.psi[:, :, keep].copy(),
             channels=[self.channels[k] for k in keep],
-            warnings=list(self.warnings),
         )
 
 
@@ -95,9 +97,8 @@ def build_potential(v: np.ndarray, dets: list[Detection], variant: Variant,
                     catalog: ClassCatalog) -> DynamicPotential:
     """Rasterize detections into the per-candidate potential tensor.
 
-    ``dets`` must already include the stuff pseudo-detections. Boxes are
-    clipped to the grid; a detection whose clipped box is empty is dropped
-    with a warning record instead of contributing a channel.
+    ``dets`` must already include the stuff pseudo-detections; channel k
+    is detection k, sliced out of the grid.
     """
     v = require_tensor3(v, "semantic probabilities")
     h, w, c = v.shape
@@ -113,25 +114,13 @@ def build_potential(v: np.ndarray, dets: list[Detection], variant: Variant,
             "masks are enabled for this scene but some thing detection lacks one"
         )
 
-    # Channels in detection order, skipping boxes that clip to nothing.
-    kept: list[tuple[int, Detection, tuple[slice, slice]]] = []
-    warnings: list[str] = []
-    for i, det in enumerate(dets):
-        clipped = det.box.clipped(w, h)
-        if clipped is None:
-            warnings.append(
-                f"detection {i} (class {det.class_id}) dropped: "
-                f"box {det.box.as_tuple()} is empty after clipping to {w}x{h}"
-            )
-            continue
-        kept.append((i, det, (slice(clipped.y0, clipped.y1), slice(clipped.x0, clipped.x1))))
-
     # Each region is written into its channel of one zeroed tensor.
-    psi = np.zeros((h, w, len(kept)), dtype=v.dtype if kept else DEFAULT_DTYPE)
+    psi = np.zeros((h, w, len(dets)), dtype=v.dtype)
     channels: list[ChannelInfo] = []
-    for k, (i, det, sl) in enumerate(kept):
+    for k, det in enumerate(dets):
         is_thing = catalog.is_thing(det.class_id)
         score = 1.0 if variant is Variant.A else det.score
+        sl = (slice(det.box.y0, det.box.y1), slice(det.box.x0, det.box.x1))
         prob = v[sl[0], sl[1], det.class_id]
         m = det.mask[sl] if is_thing and masks_enabled else None
         if variant is Variant.C:
@@ -142,6 +131,6 @@ def build_potential(v: np.ndarray, dets: list[Detection], variant: Variant,
         channels.append(ChannelInfo(
             kind="thing" if is_thing else "stuff",
             class_id=det.class_id,
-            detection_index=i,
+            detection_index=k,
         ))
-    return DynamicPotential(psi=psi, channels=channels, warnings=warnings)
+    return DynamicPotential(psi=psi, channels=channels)

@@ -83,14 +83,6 @@ class Box:
     def area(self) -> int:
         return self.width * self.height
 
-    def clipped(self, width: int, height: int) -> "Box | None":
-        """Intersection with the grid, or None when empty."""
-        x0, y0 = max(self.x0, 0), max(self.y0, 0)
-        x1, y1 = min(self.x1, width), min(self.y1, height)
-        if x0 >= x1 or y0 >= y1:
-            return None
-        return Box(x0, y0, x1, y1)
-
     def inside(self, width: int, height: int) -> bool:
         return self.x1 <= width and self.y1 <= height
 
@@ -581,6 +573,9 @@ def _read_manifest(path: str | Path) -> _SceneManifest:
         for violation in _detection_violations(det, catalog, *shape):
             raise FormatError(f"{mpath}: key {at}{violation}")
         detections.append(det)
+    if any(cue_files[2:]) and None in cue_files[2:]:  # build_potential needs all or none
+        raise FormatError(f"{mpath}: key detections[{cue_files.index(None) - 2}].mask is "
+                          f"absent, but other detections have masks")
 
     gt_labels, gt_segments = None, []
     g = value(manifest, "ground_truth", dict, mpath, optional=True)

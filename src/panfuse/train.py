@@ -221,10 +221,10 @@ def panoptic_logits(scene: SceneCues, params: AffinityParams | None,
 def predict_panoptic(scene: SceneCues, params: AffinityParams | None,
                      variant: Variant = Variant.B,
                      score_threshold: float = EVAL_SCORE_THRESHOLD,
-                     ) -> tuple[PanopticMap, DynamicPotential]:
+                     ) -> PanopticMap:
     """Inference pipeline: the forward of ``panoptic_logits``, then argmax."""
     p, potential, _ = panoptic_logits(scene, params, variant, score_threshold)
-    return infer_panoptic(p, potential.channels), potential
+    return infer_panoptic(p, potential.channels)
 
 
 def evaluate_pq(pool: list[tuple[SceneCues, GroundTruthPanoptic]],
@@ -235,7 +235,7 @@ def evaluate_pq(pool: list[tuple[SceneCues, GroundTruthPanoptic]],
     catalog = pool[0][0].catalog
     for scene, gt in pool:
         if mode == "argmax":
-            pred, _ = predict_panoptic(scene, params, variant)
+            pred = predict_panoptic(scene, params, variant)
         elif mode == "heuristic":
             pred = heuristic_merge(scene.semantic_probs, scene.detections,
                                    MergerParams(), scene.catalog)
@@ -307,15 +307,14 @@ class AblationRow:
         return d
 
 
-def ablate(configs: list[TrainConfig], labels: list[str] | None = None) -> list[AblationRow]:
+def ablate(configs: list[TrainConfig], labels: list[str]) -> list[AblationRow]:
     """Train each config and evaluate on its held-out pool.
 
     Heuristic-merger PQ is reported alongside the argmax PQ whenever the
     scene pool carries masks.
     """
     rows = []
-    for i, cfg in enumerate(configs):
-        label = labels[i] if labels else f"config_{i}"
+    for label, cfg in zip(labels, configs, strict=True):
         report = train_toy(cfg)
         pq_heu = None
         if cfg.scene.with_masks:

@@ -395,8 +395,8 @@ def test_criterion_12_determinism_and_io(tmp_path):
 
     from panfuse.train import predict_panoptic
 
-    p1, _ = predict_panoptic(s1, r1.params)
-    p2, _ = predict_panoptic(s1, r2.params)
+    p1 = predict_panoptic(s1, r1.params)
+    p2 = predict_panoptic(s1, r2.params)
     assert np.array_equal(p1.label_map, p2.label_map)
     assert p1.segments == p2.segments
     elapsed = time.time() - t0

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import panfuse
@@ -148,7 +148,9 @@ def test_costs_flag_ranges_usage_error(capsys, flag, value):
     args = {"--h": "32", "--w": "32", "--c": "16", "--ndet": "4", "--nstuff": "3", flag: value}
     assert run_cli("costs", *(x for item in args.items() for x in item)) == 2
     captured = capsys.readouterr()
-    assert f"argument {flag}: must be >= 1, got {value}" in captured.err
+    shown = f"{value[:17]}... (401 digits), which exceeds the float range (1.798e+308)" \
+        if value == HUGE else value
+    assert f"argument {flag}: must be >= 1, got {shown}\n" in captured.err
     assert captured.out == ""
 
 
@@ -220,6 +222,21 @@ def test_train_deterministic(tmp_path):
     for name in ("w0", "b0", "w1", "b1"):
         assert ((out1 / "checkpoint" / f"{name}.panc").read_bytes()
                 == (out2 / "checkpoint" / f"{name}.panc").read_bytes())
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--no-affinity"], {"use_affinity": False, "detections_source": "predicted"}),
+    (["--detections-source", "ground_truth"],
+     {"use_affinity": True, "detections_source": "ground_truth"}),
+])
+def test_train_affinity_and_detections_flags_reach_the_config(tmp_path, capsys, flags, config):
+    out = tmp_path / "t"
+    assert run_cli("train", "--out", str(out), "--steps", "3", "--scenes", "1",
+                   "--eval-scenes", "1", *flags) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert {k: report["config"][k] for k in config} == config
+    if not config["use_affinity"]:  # no parameter enters the loss
+        assert len(set(report["loss_curve"])) == 1
 
 
 def test_eval_perfect_prediction(tmp_path, capsys):
@@ -497,19 +514,21 @@ def test_run_writes_the_library_forward(tmp_path, scene_and_params, variant, che
     assert run_cli(*args) == 0
     scene, _ = load_scene(scene_dir)
     params = AffinityParams.load(ckpt) if checkpoint else None
-    pmap, _ = predict_panoptic(scene, params, Variant(variant), float(threshold))
+    pmap = predict_panoptic(scene, params, Variant(variant), float(threshold))
     save_panoptic(pmap, tmp_path / "lib")
     for name in ("panoptic.panc", "segments.json"):
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    """`import panfuse.cli` loads no scipy module; `import panfuse` loads no submodule."""
     src = Path(panfuse.__file__).resolve().parents[1]
-    code = ("import sys, panfuse.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert proc.stdout.strip() == "[]"
+    for module, prefix in [("panfuse.cli", "scipy"), ("panfuse", "panfuse.")]:
+        code = (f"import sys, {module}; "
+                f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert proc.stdout.strip() == "[]", module
 
 
 def test_run_and_eval_usage_errors_exit_2_before_writing(tmp_path, capsys,
@@ -890,6 +909,63 @@ def test_run_and_eval_on_damaged_bytes_exit_0_or_3_naming_the_file(masked_scene_
             assert code in (0, 3), err
             if code == 3:
                 assert any(n in err for n in named), err
+                assert not out.exists()
+
+
+def _key_paths(node, at=()):
+    """Every key path inside a JSON value, each parent before its children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, child in items:
+        yield at + (key,)
+        yield from _key_paths(child, at + (key,))
+
+
+# What a damaged key is set to: deleted, null, or a value of another JSON type.
+_DELETE = "<delete>"
+_DAMAGE = [_DELETE, None, True, 7, 0.5, "x", [], {}]
+
+
+@given(name=st.sampled_from(["scene/manifest.json", "checkpoint/params.json",
+                             "pred/segments.json"]),
+       where=st.integers(0, 10**4), value=st.sampled_from(_DAMAGE))
+# A detection without a mask among detections with masks.
+@example(name="scene/manifest.json", where=("detections", 2, "mask"), value=None)
+@example(name="scene/manifest.json", where=("detections", 2, "mask"), value=_DELETE)
+def test_run_and_eval_on_a_damaged_json_key_exit_0_or_3_naming_the_directory(
+        masked_scene_and_pred_dir, name, where, value):
+    """One key of a manifest (``where``: a key path, or an index into the list
+    of them), deleted, set to null or set to a value of another JSON type, makes
+    `run --checkpoint` and `eval` pass or exit 3 naming the damaged directory,
+    and then nothing is written."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        dirs = {d: masked_scene_and_pred_dir / d for d in ("scene", "pred", "checkpoint")}
+        damaged = name.split("/")[0]  # only its directory is copied
+        dirs[damaged] = shutil.copytree(dirs[damaged], root / damaged)
+        path = root / name
+        document = json.loads(path.read_text())
+        paths = list(_key_paths(document))
+        *parents, key = where if isinstance(where, tuple) else paths[where % len(paths)]
+        node = document
+        for step in parents:
+            node = node[step]
+        assume(value in (_DELETE, None) or type(value) is not type(node[key]))
+        if value == _DELETE:
+            del node[key]
+        else:
+            node[key] = value
+        path.write_text(json.dumps(document))
+        scene = ["--scene", str(dirs["scene"])]
+        report = root / "eval.json"
+        for out, args in [(root / "out", ["run", *scene, "--out", str(root / "out"),
+                                          "--checkpoint", str(dirs["checkpoint"])]),
+                          (report, ["eval", *scene, "--pred", str(dirs["pred"]),
+                                    "--json", str(report)])]:
+            code, err = _run_cli_capturing_stderr(*args)
+            assert code in (0, 3), err
+            if code == 3:
+                assert str(dirs[damaged]) in err, err
                 assert not out.exists()
 
 

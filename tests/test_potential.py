@@ -148,14 +148,16 @@ def test_missing_mask_raises_when_masks_enabled():
         build_potential(v, dets, Variant.B, catalog)
 
 
-def test_degenerate_box_dropped_with_warning():
+def test_off_grid_box_keeps_an_all_zero_channel_at_its_index():
     catalog = ClassCatalog(n_stuff=1, n_thing=1)
     v = np.full((2, 2, 2), 0.5)
-    offgrid = det(Box(5, 5, 7, 7), 0.9, 1)
-    dets = append_stuff_boxes([offgrid], catalog, 2, 2)
+    things = [det(Box(5, 5, 7, 7), 0.9, 1), det(Box(0, 0, 1, 1), 0.8, 1)]
+    dets = append_stuff_boxes(things, catalog, 2, 2)
     pot = build_potential(v, dets, Variant.B, catalog)
-    assert pot.n_channels == 1  # only the stuff channel survived
-    assert len(pot.warnings) == 1 and "dropped" in pot.warnings[0]
+    assert pot.n_channels == 3
+    assert [c.detection_index for c in pot.channels] == [0, 1, 2]
+    assert not pot.psi[:, :, 1].any()
+    assert pot.psi[0, 0, 2] == 0.8 * 0.5
 
 
 def test_without_detections_removes_channels():
@@ -171,20 +173,14 @@ def test_without_detections_removes_channels():
 
 
 def planes_reference(v, dets, variant, catalog):
-    """One zeroed (h, w) plane per kept detection, stacked at the end."""
+    """One zeroed (h, w) plane per detection, stacked at the end."""
     h, w, _ = v.shape
     masks_enabled = any(d.mask is not None for d in dets if catalog.is_thing(d.class_id))
-    planes, kept, warnings = [], [], []
-    for i, d in enumerate(dets):
-        clipped = d.box.clipped(w, h)
-        if clipped is None:
-            warnings.append(
-                f"detection {i} (class {d.class_id}) dropped: "
-                f"box {d.box.as_tuple()} is empty after clipping to {w}x{h}"
-            )
-            continue
+    planes = []
+    for d in dets:
         score = 1.0 if variant is Variant.A else d.score
-        sl = (slice(clipped.y0, clipped.y1), slice(clipped.x0, clipped.x1))
+        sl = (slice(min(d.box.y0, h), min(d.box.y1, h)),
+              slice(min(d.box.x0, w), min(d.box.x1, w)))
         prob = v[sl[0], sl[1], d.class_id]
         m = d.mask[sl] if catalog.is_thing(d.class_id) and masks_enabled else None
         plane = np.zeros((h, w), dtype=v.dtype)
@@ -193,9 +189,7 @@ def planes_reference(v, dets, variant, catalog):
         else:
             plane[sl] = score * (prob * m if m is not None else prob)
         planes.append(plane)
-        kept.append((d.class_id, i))
-    psi = np.stack(planes, axis=2) if planes else np.zeros((h, w, 0))
-    return psi, kept, warnings
+    return np.stack(planes, axis=2) if planes else np.zeros((h, w, 0), dtype=v.dtype)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -208,27 +202,27 @@ def test_build_potential_equals_planes_reference(variant, masks, dtype):
     scene, _ = synth_scene(cfg, seed=3)
     v = scene.semantic_probs.astype(dtype)
     things = list(scene.detections)
-    # A box wholly outside the grid is dropped with a warning; one that
-    # overhangs the grid is clipped.
+    # A box wholly outside the grid keeps an all-zero channel; one that
+    # overhangs the grid fills its part inside the grid.
     outside_mask = np.zeros((24, 20)) if masks else None
     things.insert(1, det(Box(25, 30, 28, 33), 0.9, 4, outside_mask))
     things.append(det(Box(15, 18, 26, 29), 0.7, 5, np.ones((24, 20)) if masks else None))
     dets = append_stuff_boxes(things, scene.catalog, 24, 20)
     got = build_potential(v, dets, variant, scene.catalog)
-    psi, kept, warnings = planes_reference(v, dets, variant, scene.catalog)
+    psi = planes_reference(v, dets, variant, scene.catalog)
     assert got.psi.dtype == psi.dtype and got.psi.shape == psi.shape
     assert got.psi.tobytes() == psi.tobytes()
     assert got.psi.flags.c_contiguous
-    assert [(c.class_id, c.detection_index) for c in got.channels] == kept
-    assert got.warnings == warnings and len(warnings) == 1
+    assert [(c.class_id, c.detection_index) for c in got.channels] == [
+        (d.class_id, k) for k, d in enumerate(dets)]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_build_potential_zero_channels(dtype):
     catalog = ClassCatalog(n_stuff=1, n_thing=1)
     v = np.full((4, 5, 2), 0.5, dtype=dtype)
-    got = build_potential(v, [det(Box(6, 0, 8, 2), 0.9, 1)], Variant.B, catalog)
-    psi, _, warnings = planes_reference(v, [det(Box(6, 0, 8, 2), 0.9, 1)], Variant.B, catalog)
+    got = build_potential(v, [], Variant.B, catalog)
+    psi = planes_reference(v, [], Variant.B, catalog)
     assert got.psi.shape == psi.shape == (4, 5, 0)
-    assert got.psi.dtype == psi.dtype == np.float64
-    assert got.channels == [] and got.warnings == warnings
+    assert got.psi.dtype == psi.dtype == dtype
+    assert got.channels == []

@@ -365,6 +365,10 @@ def _delete(key):
     (_set(["detections", 1, "box"], [1, 2, 3]), "key detections[1].box must be a list of 4 integers"),
     (_set(["detections", 2, "score"], "high"), "key detections[2].score must be a number, got a string"),
     (_set(["detections", 0, "mask"], 5), "key detections[0].mask must be a string, got an integer"),
+    (_set(["detections", 2, "mask"], None),
+     "key detections[2].mask is absent, but other detections have masks"),
+    (_set(["detections", 2, "mask"], ""),
+     "key detections[2].mask is absent, but other detections have masks"),
     (_set(["ground_truth", "segments", 1, "area"], 2.5),
      "key ground_truth.segments[1].area must be an integer, got a number"),
     (_set(["ground_truth"], "gt_labels.panc"), "key ground_truth must be an object, got a string"),

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -108,7 +109,9 @@ def test_ground_truth_detections_shape():
     ("eval_scenes", 0), ("eval_scenes", -3),
 ])
 def test_config_rejects_out_of_range_field(name, value):
-    with pytest.raises(NumericError, match=f"^{name} must be .*, got {value}$"):
+    shown = str(value) if value != 10**400 else \
+        "1" + "0" * 16 + "... (401 digits), which exceeds the float range (1.798e+308)"
+    with pytest.raises(NumericError, match=f"^{name} must be .*, got {re.escape(shown)}$"):
         small_cfg(**{name: value}).validate()
 
 
