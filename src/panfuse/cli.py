@@ -57,16 +57,25 @@ def _worker_count() -> int:
 
 
 def _bounded(kind: type, bound: Bound):
-    """argparse type: a ``kind`` value inside ``bound``."""
+    """argparse type: a ``kind`` value inside ``bound``.
+
+    A refused text longer than 17 characters is shown as its first 17
+    characters and its length.
+    """
 
     def parse(text: str):
+        more = f"... ({len(text)} characters)" if len(text) > 17 else ""
         try:
             value = kind(text)
         except ValueError:
+            digits = text.strip().lstrip("+-")
+            if kind is int and digits.isdecimal():  # more digits than int() reads
+                raise argparse.ArgumentTypeError(
+                    bound.refusal_of_digits(text, len(digits))) from None
             noun = "an integer" if kind is int else "a number"
-            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text[:17]!r}{more}") from None
         if value not in bound:
-            raise argparse.ArgumentTypeError(bound.refusal(value, text))
+            raise argparse.ArgumentTypeError(bound.refusal(value, text[:17] + more))
         return value
     return parse
 

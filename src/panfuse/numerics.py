@@ -64,9 +64,14 @@ class Bound:
         """Why ``value``, shown as ``text`` (its ``str`` by default), is refused."""
         text = str(value) if text is None else text
         if type(value) is int and abs(value) > sys.float_info.max:
-            return (f"must be {self}, got {text[:17]}... ({len(str(abs(value)))} digits), "
-                    f"which exceeds the float range ({sys.float_info.max:.3e})")
+            return self.refusal_of_digits(text, len(str(abs(value))))
         return f"must be {self}, got {text}"
+
+    def refusal_of_digits(self, text: str, digits: int) -> str:
+        """Why an integer of ``digits`` digits, shown as ``text``, is refused:
+        it is beyond every float."""
+        return (f"must be {self}, got {text[:17]}... ({digits} digits), "
+                f"which exceeds the float range ({sys.float_info.max:.3e})")
 
 
 def bounded(default, low: float, high: float | None = None, *, low_open: bool = False,
@@ -97,3 +102,59 @@ def argmax_channels(t: np.ndarray) -> np.ndarray:
     """Per-pixel index of the maximal channel; ties go to the lowest index."""
     t = require_tensor3(t)
     return t.argmax(axis=2).astype(np.int32)
+
+
+# numpy's pairwise summation: below this many terms it unrolls into 8
+# accumulators, above it splits in two.
+_PAIRWISE_BLOCK = 128
+
+
+def channel_max(x: np.ndarray) -> np.ndarray:
+    """Row maxima of an (n, k) matrix, one column at a time.
+
+    Equal to ``x.max(axis=1)`` (a max is exact in any order), but k
+    whole-column calls cost less than numpy's per-row loop of k.
+    """
+    m = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        np.maximum(m, x[:, j], out=m)
+    return m
+
+
+def channel_sum(x: np.ndarray) -> np.ndarray:
+    """Row sums of an (n, k) matrix, bit for bit ``x.sum(axis=1)``.
+
+    Adds whole columns in the order numpy's pairwise summation adds the k
+    terms of one row: a left-to-right chain below 8 terms; up to
+    ``_PAIRWISE_BLOCK`` terms, 8 accumulators over the full blocks of 8,
+    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in
+    order; above that, the two halves split at a multiple of 8, summed
+    alike. ``tests/test_numerics.py`` pins this order against numpy.
+    """
+    k = x.shape[1]
+    if k < 8:
+        s = x[:, 0].copy()
+        for j in range(1, k):
+            s += x[:, j]
+        return s
+    if k <= _PAIRWISE_BLOCK:
+        full = k - k % 8
+        r = x[:, :8].copy()
+        for i in range(8, full, 8):
+            r += x[:, i:i + 8]
+        s = (r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])
+        s += (r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])
+        for j in range(full, k):
+            s += x[:, j]
+        return s
+    half = k // 2 - (k // 2) % 8
+    return channel_sum(x[:, :half]) + channel_sum(x[:, half:])
+
+
+def pixel_sum(x: np.ndarray) -> np.ndarray:
+    """Column sums of an (n, k) matrix, bit for bit ``x.sum(axis=0)``.
+
+    Both add the n rows one after another. ``einsum`` runs that loop in
+    one call, where ``sum`` calls its inner loop of k once per row.
+    """
+    return np.einsum("ij->j", x)

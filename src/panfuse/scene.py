@@ -633,6 +633,20 @@ def _read_ground_truth(m: _SceneManifest) -> GroundTruthPanoptic | None:
             raise FormatError(f"{mpath}: key ground_truth.segments[{s.index}].area is "
                               f"{s.area}, but segment {s.index} has {area} pixels in "
                               f"{m.gt_labels}")
+    # Boxes need not be tight, but each must hold its segment's pixels. Per
+    # segment, which columns and rows its box spans; the last slot, read by
+    # IGNORE (-1), spans the grid. One gather per axis checks every pixel.
+    h, w = m.shape
+    x0, y0, x1, y1 = np.array([s.box.as_tuple() for s in m.gt_segments] + [(0, 0, w, h)]).T
+    cols, rows = np.arange(w), np.arange(h)[:, None]
+    inside = ((x0[:, None] <= cols) & (cols < x1[:, None])).take(label * w + cols)
+    inside &= ((y0[:, None] <= rows.T) & (rows.T < y1[:, None])).take(label * h + rows)
+    if not inside.all():
+        y, x = np.argwhere(~inside)[0]
+        s = m.gt_segments[label[y, x]]
+        raise FormatError(f"{mpath}: key ground_truth.segments[{s.index}].box: "
+                          f"{s.box.as_tuple()} does not hold pixel ({y}, {x}) of segment "
+                          f"{s.index}")
     return GroundTruthPanoptic(label_map=label, segments=m.gt_segments)
 
 

@@ -17,7 +17,7 @@ from .errors import NumericError
 from .inference import MergerParams, PanopticMap, heuristic_merge, infer_panoptic, panoptic_from_ground_truth
 from .matching import TargetMap, build_target_map, match_segments, panoptic_matching_loss, target_channels
 from .metrics import PQReport, PQStats
-from .numerics import bounded, check_bounds
+from .numerics import bounded, channel_max, channel_sum, check_bounds, pixel_sum
 from .potential import DynamicPotential, Variant, append_stuff_boxes, build_potential, filter_by_score
 from .scene import Detection, GroundTruthPanoptic, SceneCues, SynthConfig, synth_scene
 
@@ -143,10 +143,14 @@ def loss_and_grads(bundle: SceneBundle, params: AffinityParams,
     Bit for bit what ``project_features``, ``apply_affinity_factored``,
     ``panoptic_matching_loss`` and ``backward_affinity`` give, in one pass:
     the projections and ``exp`` are computed once, and the input gradients
-    (``d_psi``, ``d_features``) are not computed at all.
+    (``d_psi``, ``d_features``) are not computed at all. The row max and
+    the softmax denominator are reduced over the k channels one column at
+    a time (``numerics.channel_max``, ``channel_sum``), in the order numpy
+    adds them, and the bias gradients over the pixels in one call
+    (``numerics.pixel_sum``); each gives the bits of the reference's numpy
+    reduction without its per-pixel or per-row loop calls.
     """
     psi, features = bundle.psi_flat, bundle.features_flat
-    n = psi.shape[0]
     if bundle.n_valid == 0:
         return (0.0, np.zeros_like(params.w0), np.zeros_like(params.b0),
                 np.zeros_like(params.w1), np.zeros_like(params.b1))
@@ -159,14 +163,12 @@ def loss_and_grads(bundle: SceneBundle, params: AffinityParams,
     inner = q1.T @ psi
     g = q0 @ inner
     g += psi
-    g -= g.max(axis=1, keepdims=True)
+    g -= channel_max(g)[:, None]
 
     # Loss: log-softmax at the target channels of the valid pixels.
     picked = g.take(bundle.target_flat)
     np.exp(g, out=g)
-    # Summed over the (h, w, k) layout, as the reference does: other
-    # summation orders differ in the last bit once k >= 8.
-    sums = g.reshape(bundle.potential.psi.shape).sum(axis=2).reshape(n)
+    sums = channel_sum(g)
     log_probs = picked - np.log(sums[bundle.valid_pixels])
     loss = float(-(log_probs.sum()) / bundle.n_valid)
 
@@ -180,10 +182,10 @@ def loss_and_grads(bundle: SceneBundle, params: AffinityParams,
     d_inner = q0.T @ g
     d = g @ inner.T
     d *= q0 > 0.0
-    d_w0, d_b0 = features.T @ d, d.sum(axis=0)
+    d_w0, d_b0 = features.T @ d, pixel_sum(d)
     d = psi @ d_inner.T
     d *= q1 > 0.0
-    return loss, d_w0, d_b0, features.T @ d, d.sum(axis=0)
+    return loss, d_w0, d_b0, features.T @ d, pixel_sum(d)
 
 
 def make_pool(cfg: TrainConfig) -> list[SceneBundle]:
@@ -265,19 +267,16 @@ def train_toy(cfg: TrainConfig) -> TrainingReport:
         if fixed_losses is not None:
             loss = fixed_losses[step % len(pool)]
         else:
-            loss, d_w0, d_b0, d_w1, d_b1 = loss_and_grads(pool[step % len(pool)], params)
+            loss, *grads = loss_and_grads(pool[step % len(pool)], params)
         if not np.isfinite(loss):
             raise NumericError(f"loss diverged at step {step}")
         losses.append(loss)
         if fixed_losses is not None:
             continue
-        lr = cfg.learning_rate
-        params = AffinityParams(
-            w0=params.w0 - lr * d_w0,
-            b0=params.b0 - lr * d_b0,
-            w1=params.w1 - lr * d_w1,
-            b1=params.b1 - lr * d_b1,
-        )
+        # In place, with the arithmetic of ``w - lr * d``: ``init`` made these
+        # arrays for this run alone.
+        for w, d in zip((params.w0, params.b0, params.w1, params.b1), grads):
+            w -= cfg.learning_rate * d
     eval_pool = make_eval_pool(cfg)
     final_pq = evaluate_pq(eval_pool, params if cfg.use_affinity else None, cfg.variant)
     return TrainingReport(loss_curve=losses, final_pq=final_pq,

@@ -33,6 +33,8 @@ def run_cli(*args):
 
 # An integer too large for a float.
 HUGE = "1" + "0" * 400
+# One with more digits than int() reads (Python's integer-string limit, 4300).
+HUGER = "1" + "0" * 5000
 
 
 def synth_args(out, seed=3, extra=()):
@@ -109,12 +111,14 @@ def test_run_dump_match_and_affinity(tmp_path):
     assert np.array_equal(amap, affinity_map_for_pixel(q0, q1, (4, 7)))
 
 
-@pytest.mark.parametrize("steps", ["0", "-3", "x", pytest.param(HUGE, id="1e400")])
+@pytest.mark.parametrize("steps", ["0", "-3", "x", pytest.param(HUGE, id="1e400"),
+                                   pytest.param("x" * 5000, id="5000x")])
 def test_train_and_ablate_steps_usage_error(tmp_path, capsys, steps):
     for flag in ("--steps", "--scenes", "--eval-scenes", "--match-threshold", "--learning-rate",
                  "--feature-dim"):
         assert run_cli("train", "--out", str(tmp_path / "t"), flag, steps) == 2
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flag in err and len(err) < 1000
         assert not (tmp_path / "t").exists()
     assert run_cli("ablate", "--preset", "affinity", "--steps", steps) == 2
     assert "--steps" in capsys.readouterr().err
@@ -143,14 +147,16 @@ def test_synth_and_train_flag_ranges_usage_error(tmp_path, capsys, flag, value):
 
 
 @pytest.mark.parametrize("flag", ["--h", "--w", "--d", "--c", "--ndet", "--nstuff", "--bytes"])
-@pytest.mark.parametrize("value", ["0", "-5", pytest.param(HUGE, id="1e400")])
+@pytest.mark.parametrize("value", ["0", "-5", pytest.param(HUGE, id="1e400"),
+                                   pytest.param(HUGER, id="1e5000")])
 def test_costs_flag_ranges_usage_error(capsys, flag, value):
     args = {"--h": "32", "--w": "32", "--c": "16", "--ndet": "4", "--nstuff": "3", flag: value}
     assert run_cli("costs", *(x for item in args.items() for x in item)) == 2
     captured = capsys.readouterr()
-    shown = f"{value[:17]}... (401 digits), which exceeds the float range (1.798e+308)" \
-        if value == HUGE else value
+    shown = f"{value[:17]}... ({len(value)} digits), which exceeds the float range (1.798e+308)" \
+        if len(value) > 17 else value
     assert f"argument {flag}: must be >= 1, got {shown}\n" in captured.err
+    assert len(captured.err) < 1000
     assert captured.out == ""
 
 

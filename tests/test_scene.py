@@ -377,6 +377,8 @@ def _delete(key):
     (_set(["shape", "width"], 0), "key shape.width must be >= 1, got 0"),
     (_set(["ground_truth", "segments", 5, "box"], [0, 0, 500, 500]),
      "key ground_truth.segments[5].box: (0, 0, 500, 500) exceeds 32x32 grid"),
+    (_set(["ground_truth", "segments", 5, "box"], [0, 0, 1, 1]),
+     "key ground_truth.segments[5].box: (0, 0, 1, 1) does not hold pixel (13, 9) of segment 5"),
 ])
 def test_manifest_schema_errors_name_file_and_key(saved_scene, edit, message):
     mpath = _edit_manifest(saved_scene, edit)

@@ -225,12 +225,17 @@ def test_out_of_range_target_channel_raises_like_the_loss():
     assert str(from_bundle.value) == str(from_loss.value)
 
 
-def test_train_toy_matches_reference_loop():
-    cfg = TrainConfig(steps=200, seed=4, scenes=8, eval_scenes=1,
-                      scene=POOL_SCENE, match_threshold=0.4)
+@pytest.mark.parametrize("scene_cfg, steps, scenes, min_channels", [
+    pytest.param(POOL_SCENE, 200, 8, 1, id="pool"),
+    pytest.param(WIDE_SCENE, 60, 4, 8, id="wide"),  # numpy's pairwise channel sum
+])
+def test_train_toy_matches_reference_loop(scene_cfg, steps, scenes, min_channels):
+    cfg = TrainConfig(steps=steps, seed=4, scenes=scenes, eval_scenes=1,
+                      scene=scene_cfg, match_threshold=0.4)
     report = train_toy(cfg)
 
     pool = make_pool(cfg)
+    assert min(b.potential.n_channels for b in pool) >= min_channels
     params = AffinityParams.init(cfg.scene.feature_dim, seed=cfg.seed,
                                  scale=cfg.param_scale)
     losses = []
