@@ -225,11 +225,18 @@ def test_out_of_range_target_channel_raises_like_the_loss():
     assert str(from_bundle.value) == str(from_loss.value)
 
 
-@pytest.mark.parametrize("scene_cfg, steps, scenes, min_channels", [
-    pytest.param(POOL_SCENE, 200, 8, 1, id="pool"),
-    pytest.param(WIDE_SCENE, 60, 4, 8, id="wide"),  # numpy's pairwise channel sum
-])
-def test_train_toy_matches_reference_loop(scene_cfg, steps, scenes, min_channels):
+def test_train_toy_matches_reference_loop():
+    assert_train_toy_matches_reference_loop(POOL_SCENE, steps=200, scenes=8,
+                                            min_channels=1)
+
+
+def test_train_toy_matches_reference_loop_wide():
+    # At least 8 channels per scene: numpy's pairwise channel sum.
+    assert_train_toy_matches_reference_loop(WIDE_SCENE, steps=60, scenes=4,
+                                            min_channels=8)
+
+
+def assert_train_toy_matches_reference_loop(scene_cfg, steps, scenes, min_channels):
     cfg = TrainConfig(steps=steps, seed=4, scenes=scenes, eval_scenes=1,
                       scene=scene_cfg, match_threshold=0.4)
     report = train_toy(cfg)
