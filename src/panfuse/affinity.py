@@ -8,9 +8,9 @@ the associativity of matrix products: with flattened pixel matrices,
     out = psi + proj0 @ (proj1.T @ psi)
 
 so the quadratic pixel-by-pixel affinity matrix is never materialized -
-the intermediate is a tiny (feature_dim x n_channels) matrix. A naive
-quadratic path exists as a correctness oracle, guarded by a pixel cap.
-The backward pass is hand-derived reverse mode with the same factored
+the intermediate is a tiny (feature_dim x n_channels) matrix. The tests
+check it against the quadratic product in ``tests/reference.py``. The
+backward pass is hand-derived reverse mode with the same factored
 bracketing.
 """
 
@@ -24,10 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .errors import CapacityError, DimensionError, FormatError, NumericError
+from .errors import DimensionError, FormatError, NumericError
 from .numerics import FLOAT_DTYPES, require_tensor3
-
-NAIVE_PIXEL_CAP = 4096
 
 
 @dataclass
@@ -163,7 +161,8 @@ def project_features(q: np.ndarray, params: AffinityParams) -> tuple[np.ndarray,
     return heads[0], heads[1]
 
 
-def _check_applier_shapes(psi: np.ndarray, q0: np.ndarray, q1: np.ndarray):
+def apply_affinity_factored(psi: np.ndarray, q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
+    """Residual affinity aggregation in linear pixel complexity."""
     psi = require_tensor3(psi, "potential")
     q0 = require_tensor3(q0, "projected features (head 0)")
     q1 = require_tensor3(q1, "projected features (head 1)")
@@ -173,12 +172,6 @@ def _check_applier_shapes(psi: np.ndarray, q0: np.ndarray, q1: np.ndarray):
         raise DimensionError(
             f"potential grid {psi.shape[:2]} does not match features {q0.shape[:2]}"
         )
-    return psi, q0, q1
-
-
-def apply_affinity_factored(psi: np.ndarray, q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
-    """Residual affinity aggregation in linear pixel complexity."""
-    psi, q0, q1 = _check_applier_shapes(psi, q0, q1)
     h, w, k = psi.shape
     c = q0.shape[2]
     psi_m = psi.reshape(-1, k)
@@ -188,25 +181,6 @@ def apply_affinity_factored(psi: np.ndarray, q0: np.ndarray, q1: np.ndarray) -> 
     out = q0_m @ inner
     out += psi_m  # in place: same sum as psi_m + out, one (pixels, k) array fewer
     return out.reshape(h, w, k)
-
-
-def apply_affinity_naive(psi: np.ndarray, q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
-    """Quadratic oracle: materializes the full pixel-pair affinity matrix.
-
-    Guarded at NAIVE_PIXEL_CAP pixels; beyond that the memory cost is the
-    very thing the factored path exists to avoid.
-    """
-    psi, q0, q1 = _check_applier_shapes(psi, q0, q1)
-    h, w, k = psi.shape
-    n = h * w
-    if n > NAIVE_PIXEL_CAP:
-        raise CapacityError(
-            f"naive path materializes a {n}x{n} affinity matrix; "
-            f"cap is {NAIVE_PIXEL_CAP} pixels"
-        )
-    psi_m = psi.reshape(n, k)
-    a = q0.reshape(n, -1) @ q1.reshape(n, -1).T  # (n, n)
-    return (psi_m + a @ psi_m).reshape(h, w, k)
 
 
 def affinity_map_for_pixel(q0: np.ndarray, q1: np.ndarray,

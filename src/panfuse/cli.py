@@ -14,7 +14,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +23,12 @@ from . import container
 from .affinity import AffinityParams, affinity_map_for_pixel, estimate_costs, project_features
 from .errors import CueError, FormatError, GenerationError, PanfuseError, UsageError
 from .inference import MergerParams, heuristic_merge, load_panoptic, panoptic_from_ground_truth, save_panoptic, trim_small_stuff
-from .matching import boxes_from_segments, match_segments
+from .matching import match_segments
 from .metrics import PQStats, box_average_precision, class_pixel_counts, mean_iou, thing_stuff_confusion
 from .numerics import Bound
 from .potential import Variant, append_stuff_boxes
 from .scene import SynthConfig, load_scene, load_scene_records, save_scene, synth_scene, validate_scene
-from .train import DETECTIONS_SOURCES, TrainConfig, ablate, predict_panoptic, render_ablation_table, train_toy
+from .train import DETECTIONS_SOURCES, PRESETS, TrainConfig, ablate, predict_panoptic, preset_configs, render_ablation_table, train_toy
 
 EXIT_OK = 0
 
@@ -251,7 +251,7 @@ def _eval_one(scene_path: str, pred_path: str):
     gt_map = panoptic_from_ground_truth(gt, catalog)
     stats = PQStats().accumulate(pred, gt_map)
     classes = class_pixel_counts(pred.class_map(), gt_map.class_map(), catalog)
-    gt_thing_boxes = [(c, b) for c, b in boxes_from_segments(gt) if catalog.is_thing(c)]
+    gt_thing_boxes = [(s.class_id, s.box) for s in gt.segments if catalog.is_thing(s.class_id)]
     ap = box_average_precision(detections, gt_thing_boxes)
     return catalog, stats, classes, ap
 
@@ -300,34 +300,8 @@ def cmd_costs(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _preset_configs(preset: str, steps: int, seed: int) -> tuple[list[TrainConfig], list[str]]:
-    if preset == "affinity":
-        scene = SynthConfig(box_truncation=0.3, confusion_rate=0.1, with_masks=True)
-        base = TrainConfig(steps=steps, seed=seed, scene=scene, match_threshold=0.4)
-        return ([base, replace(base, use_affinity=False)],
-                ["affinity_on", "affinity_off"])
-    if preset == "detections":
-        scene = SynthConfig(box_jitter=1.5, box_truncation=0.15)
-        base = TrainConfig(steps=steps, seed=seed, scene=scene, match_threshold=0.4)
-        return ([base, replace(base, detections_source="ground_truth")],
-                ["predicted_dets", "ground_truth_dets"])
-    if preset == "variants":
-        # The confused pool trains shorter so neither composition saturates.
-        confused = SynthConfig(confusion_rate=0.4, with_masks=True)
-        clean = SynthConfig(confusion_rate=0.0, with_masks=True, mask_noise=0.1)
-        rows, labels = [], []
-        for scene, tag, n in [(confused, "confused", min(steps, 12_000)),
-                              (clean, "clean", steps)]:
-            for variant in (Variant.B, Variant.C):
-                rows.append(TrainConfig(steps=n, seed=seed, scene=scene,
-                                        variant=variant, eval_scenes=8))
-                labels.append(f"{tag}_{variant.value}")
-        return rows, labels
-    raise CueError(f"unknown preset {preset!r}")
-
-
 def cmd_ablate(args: argparse.Namespace) -> int:
-    configs, labels = _preset_configs(args.preset, args.steps, args.seed)
+    configs, labels = preset_configs(args.preset, args.steps, args.seed)
     rows = ablate(configs, labels)
     payload = [r.to_json_dict() for r in rows]
     if args.json:
@@ -388,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_costs)
 
     p = sub.add_parser("ablate", help="train and compare preset configurations")
-    p.add_argument("--preset", choices=["affinity", "detections", "variants"],
-                   required=True)
+    p.add_argument("--preset", choices=PRESETS, required=True)
     _add_field_flags(p, TrainConfig, {"--steps": "steps", "--seed": "seed"})
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_ablate)

@@ -41,12 +41,6 @@ class CueError(PanfuseError):
     exit_code = 3
 
 
-class CapacityError(PanfuseError):
-    """An operation guarded by a size limit was asked to exceed it."""
-
-    exit_code = 3
-
-
 class GenerationError(PanfuseError):
     """Synthetic scene generation could not satisfy its constraints."""
 

@@ -51,11 +51,6 @@ class TargetMap:
     label_map: np.ndarray  # (h, w) int32, IGNORE where no gradient applies
 
 
-def boxes_from_segments(gt: GroundTruthPanoptic) -> list[tuple[int, Box]]:
-    """(class_id, tight box) per ground-truth segment, in segment order."""
-    return [(s.class_id, s.box) for s in gt.segments]
-
-
 def box_iou(a: Box, b: Box, class_a: int | None = None,
             class_b: int | None = None) -> float:
     """Half-open box IoU; zero across different semantic classes."""

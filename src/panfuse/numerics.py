@@ -61,17 +61,30 @@ class Bound:
         return above and below and abs(value) <= sys.float_info.max
 
     def refusal(self, value, text: str | None = None) -> str:
-        """Why ``value``, shown as ``text`` (its ``str`` by default), is refused."""
-        text = str(value) if text is None else text
+        """Why ``value``, shown as ``text`` (its ``str`` by default), is refused.
+
+        An int beyond every float is sized and shown without ``str``, which
+        refuses more than 4300 digits.
+        """
         if type(value) is int and abs(value) > sys.float_info.max:
-            return self.refusal_of_digits(text, len(str(abs(value))))
-        return f"must be {self}, got {text}"
+            digits = _decimal_digits(abs(value))
+            if text is None:  # the first 17 characters of str(value)
+                sign = "-" if value < 0 else ""
+                text = sign + str(abs(value) // 10 ** (digits - 17 + len(sign)))
+            return self.refusal_of_digits(text, digits)
+        return f"must be {self}, got {value if text is None else text}"
 
     def refusal_of_digits(self, text: str, digits: int) -> str:
         """Why an integer of ``digits`` digits, shown as ``text``, is refused:
         it is beyond every float."""
         return (f"must be {self}, got {text[:17]}... ({digits} digits), "
                 f"which exceeds the float range ({sys.float_info.max:.3e})")
+
+
+def _decimal_digits(n: int) -> int:
+    """Decimal digits of the positive int ``n``, read from its bit length."""
+    digits = int((n.bit_length() - 1) * 0.30102999566398120) + 1  # log10(2)
+    return digits + (n >= 10 ** digits)
 
 
 def bounded(default, low: float, high: float | None = None, *, low_open: bool = False,

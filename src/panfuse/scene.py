@@ -378,11 +378,9 @@ def _detection_violations(det: Detection, catalog: ClassCatalog,
     Each message starts with the key it names (``.box``, ``.score``,
     ``.class_id``), for the caller to prefix with the detection. Stuff
     pseudo-detections are added by the pipeline, so a scene's detections
-    are things only.
+    are things only. ``Box`` itself refuses a box without area.
     """
     b = det.box
-    if b.x0 >= b.x1 or b.y0 >= b.y1:
-        return [f".box: degenerate box {b.as_tuple()}"]
     violations = []
     if not b.inside(w, h):
         violations.append(f".box: {b.as_tuple()} exceeds {w}x{h} grid")

@@ -8,12 +8,12 @@ configs produce bit-identical reports.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .affinity import AffinityParams, apply_affinity_factored, project_features
-from .errors import NumericError
+from .errors import CueError, NumericError
 from .inference import MergerParams, PanopticMap, heuristic_merge, infer_panoptic, panoptic_from_ground_truth
 from .matching import TargetMap, build_target_map, match_segments, panoptic_matching_loss, target_channels
 from .metrics import PQReport, PQStats
@@ -25,6 +25,8 @@ EVAL_SEED_OFFSET = 10_007
 EVAL_SCORE_THRESHOLD = 0.5
 # Where training scenes take their thing detections from.
 DETECTIONS_SOURCES = ("predicted", "ground_truth")
+# The ablations of `preset_configs`, one per directional claim of the paper.
+PRESETS = ("affinity", "detections", "variants")
 
 
 @dataclass(frozen=True)
@@ -304,6 +306,37 @@ class AblationRow:
         if self.pq_heuristic is None:
             del d["pq_heuristic"]
         return d
+
+
+def preset_configs(preset: str, steps: int, seed: int) -> tuple[list[TrainConfig], list[str]]:
+    """The configs and row labels of one of ``PRESETS``.
+
+    ``panfuse ablate`` trains them; acceptance criteria 06-09 train them at
+    40,000 steps and seed 0 and assert the comparison each preset makes.
+    """
+    if preset == "affinity":
+        scene = SynthConfig(box_truncation=0.3, confusion_rate=0.1, with_masks=True)
+        base = TrainConfig(steps=steps, seed=seed, scene=scene, match_threshold=0.4)
+        return ([base, replace(base, use_affinity=False)],
+                ["affinity_on", "affinity_off"])
+    if preset == "detections":
+        scene = SynthConfig(box_jitter=1.5, box_truncation=0.15)
+        base = TrainConfig(steps=steps, seed=seed, scene=scene, match_threshold=0.4)
+        return ([base, replace(base, detections_source="ground_truth")],
+                ["predicted_dets", "ground_truth_dets"])
+    if preset == "variants":
+        # The confused pool trains shorter so neither composition saturates.
+        confused = SynthConfig(confusion_rate=0.4, with_masks=True)
+        clean = SynthConfig(confusion_rate=0.0, with_masks=True, mask_noise=0.1)
+        rows, labels = [], []
+        for scene, tag, n in [(confused, "confused", min(steps, 12_000)),
+                              (clean, "clean", steps)]:
+            for variant in (Variant.B, Variant.C):
+                rows.append(TrainConfig(steps=n, seed=seed, scene=scene,
+                                        variant=variant, eval_scenes=8))
+                labels.append(f"{tag}_{variant.value}")
+        return rows, labels
+    raise CueError(f"unknown preset {preset!r}")
 
 
 def ablate(configs: list[TrainConfig], labels: list[str]) -> list[AblationRow]:

@@ -1,22 +1,18 @@
 """Acceptance criteria, one test per criterion.
 
 Each test prints a single PASS line when its assertions hold (pytest -s
-or -v shows them). The training-backed criteria share module-scoped
-fixtures so each configuration trains exactly once.
+or -v shows them). The training-backed criteria 06-09 train the ablation
+presets of ``train.preset_configs`` at 40,000 steps and seed 0, as
+``panfuse ablate`` does by default; a module-scoped fixture trains each
+preset exactly once.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from panfuse.affinity import (
-    AffinityParams,
-    apply_affinity_factored,
-    apply_affinity_naive,
-    estimate_costs,
-)
+from panfuse.affinity import AffinityParams, apply_affinity_factored, estimate_costs
 from panfuse.inference import (
     MergerParams,
     heuristic_merge,
@@ -43,10 +39,12 @@ from panfuse.train import (
     TrainConfig,
     make_eval_pool,
     panoptic_logits,
+    preset_configs,
     train_toy,
 )
 
 from gradients import scene_gradient_errors
+from reference import apply_affinity_naive
 from test_matching import brute_force_total_iou, detection_channel
 
 
@@ -55,23 +53,23 @@ def report(number, detail):
 
 
 # ---------------------------------------------------------------------------
-# Shared training fixtures
+# Shared training fixture
 # ---------------------------------------------------------------------------
 
-TRUNCATION_POOL = SynthConfig(box_truncation=0.3, confusion_rate=0.1,
-                              with_masks=True)
-
-
 @pytest.fixture(scope="module")
-def truncation_runs():
-    """Affinity on/off on the truncated+confused pool (criteria 6 and 7)."""
-    t0 = time.time()
-    cfg = TrainConfig(seed=0, scene=TRUNCATION_POOL, match_threshold=0.4)
-    on = train_toy(cfg)
-    off = train_toy(replace(cfg, use_affinity=False))
-    pool = make_eval_pool(cfg)
-    return {"cfg": cfg, "on": on, "off": off, "pool": pool,
-            "elapsed": time.time() - t0}
+def preset_runs():
+    """Train a preset's configs on first use: ``runs(preset)`` gives its
+    training reports and configs by row label, and the seconds it took."""
+    trained = {}
+
+    def runs(preset):
+        if preset not in trained:
+            t0 = time.time()
+            configs, labels = preset_configs(preset, 40_000, 0)
+            reports = {label: train_toy(cfg) for cfg, label in zip(configs, labels)}
+            trained[preset] = (reports, dict(zip(labels, configs)), time.time() - t0)
+        return trained[preset]
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +211,9 @@ def test_criterion_05_pq_correctness():
 
 
 @pytest.mark.slow
-def test_criterion_06_affinity_ablation(truncation_runs):
-    on, off = truncation_runs["on"], truncation_runs["off"]
-    elapsed = truncation_runs["elapsed"]
+def test_criterion_06_affinity_ablation(preset_runs):
+    reports, _, elapsed = preset_runs("affinity")
+    on, off = reports["affinity_on"], reports["affinity_off"]
     assert on.final_pq.pq("all") > off.final_pq.pq("all")
     assert on.loss_curve[-1] <= 0.5 * on.loss_curve[0]
     assert elapsed < 300
@@ -249,12 +247,11 @@ def object_recovery(scene, gt, params, variant):
 
 
 @pytest.mark.slow
-def test_criterion_07_truncation_recovery(truncation_runs):
-    cfg = truncation_runs["cfg"]
-    pool = truncation_runs["pool"]
-    params = truncation_runs["on"].params
+def test_criterion_07_truncation_recovery(preset_runs):
+    reports, configs, _ = preset_runs("affinity")
+    cfg, params = configs["affinity_on"], reports["affinity_on"].params
     rec_on, rec_off, inbox = [], [], []
-    for scene, gt in pool:
+    for scene, gt in make_eval_pool(cfg):
         rec_on.extend(object_recovery(scene, gt, params, cfg.variant))
         rec_off.extend(object_recovery(scene, gt, None, cfg.variant))
         for seg, det in zip(
@@ -271,13 +268,9 @@ def test_criterion_07_truncation_recovery(truncation_runs):
 
 
 @pytest.mark.slow
-def test_criterion_08_predicted_vs_ground_truth_training():
-    t0 = time.time()
-    jittered = SynthConfig(box_jitter=1.5, box_truncation=0.15)
-    base = TrainConfig(seed=0, scene=jittered, match_threshold=0.4)
-    pred = train_toy(base)
-    gtd = train_toy(replace(base, detections_source="ground_truth"))
-    elapsed = time.time() - t0
+def test_criterion_08_predicted_vs_ground_truth_training(preset_runs):
+    reports, _, elapsed = preset_runs("detections")
+    pred, gtd = reports["predicted_dets"], reports["ground_truth_dets"]
     assert pred.final_pq.pq("all") >= gtd.final_pq.pq("all")
     assert elapsed < 300
     report(8, f"predicted-detection training PQ {pred.final_pq.pq('all'):.4f} >= "
@@ -285,22 +278,16 @@ def test_criterion_08_predicted_vs_ground_truth_training():
 
 
 @pytest.mark.slow
-def test_criterion_09_variant_mechanism():
-    t0 = time.time()
+def test_criterion_09_variant_mechanism(preset_runs):
+    reports, _, elapsed = preset_runs("variants")
     # Injected thing->stuff confusion: additive composition must win on things.
-    confused = SynthConfig(confusion_rate=0.4, with_masks=True)
-    cfg_b = TrainConfig(seed=0, scene=confused, variant=Variant.B,
-                        steps=12_000, eval_scenes=8)
-    thing_b = train_toy(cfg_b).final_pq.pq("things")
-    thing_c = train_toy(replace(cfg_b, variant=Variant.C)).final_pq.pq("things")
+    thing_b = reports["confused_B"].final_pq.pq("things")
+    thing_c = reports["confused_C"].final_pq.pq("things")
     assert thing_c > thing_b
     # Clean semantics with noisy masks: multiplicative composition holds up.
-    clean = SynthConfig(confusion_rate=0.0, with_masks=True, mask_noise=0.1)
-    cfg_kb = TrainConfig(seed=0, scene=clean, variant=Variant.B, eval_scenes=8)
-    all_b = train_toy(cfg_kb).final_pq.pq("all")
-    all_c = train_toy(replace(cfg_kb, variant=Variant.C)).final_pq.pq("all")
+    all_b = reports["clean_B"].final_pq.pq("all")
+    all_c = reports["clean_C"].final_pq.pq("all")
     assert all_b >= all_c
-    elapsed = time.time() - t0
     assert elapsed < 600
     report(9, f"confused pool: thing-PQ C {thing_c:.4f} > B {thing_b:.4f}; "
               f"clean pool: PQ-all B {all_b:.4f} >= C {all_c:.4f} ({elapsed:.0f}s)")

@@ -7,15 +7,15 @@ from panfuse.affinity import (
     AffinityParams,
     affinity_map_for_pixel,
     apply_affinity_factored,
-    apply_affinity_naive,
     backward_affinity,
     estimate_costs,
     project_features,
 )
 from panfuse.container import write_tensor
-from panfuse.errors import CapacityError, DimensionError, FormatError
+from panfuse.errors import DimensionError, FormatError
 
 from gradients import affinity_errors
+from reference import apply_affinity_naive
 
 
 def random_params(c, seed, scale=1.0):
@@ -116,7 +116,7 @@ def test_oracle_equivalence_200_instances():
 def test_naive_guard():
     psi = np.zeros((65, 65, 1))
     q = np.zeros((65, 65, 1))
-    with pytest.raises(CapacityError):
+    with pytest.raises(ValueError, match="cap is 4096 pixels"):
         apply_affinity_naive(psi, q, q)
 
 

@@ -24,7 +24,7 @@ from panfuse.metrics import class_pixel_counts, mean_iou
 from panfuse.numerics import VOID
 from panfuse.potential import Variant
 from panfuse.scene import SynthConfig, load_scene, save_scene
-from panfuse.train import TrainConfig, make_eval_pool, predict_panoptic
+from panfuse.train import PRESETS, TrainConfig, make_eval_pool, predict_panoptic, preset_configs
 
 
 def run_cli(*args):
@@ -126,6 +126,16 @@ def test_train_and_ablate_steps_usage_error(tmp_path, capsys, steps):
     assert "argument --seed: must be >= 0" in capsys.readouterr().err
 
 
+def test_ablate_trains_the_library_presets(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "ablate", lambda configs, labels: calls.append((configs, labels)) or [])
+    for preset in PRESETS:
+        assert run_cli("ablate", "--preset", preset, "--steps", "7", "--seed", "3") == 0
+        assert calls.pop() == preset_configs(preset, 7, 3)
+    with pytest.raises(errors.CueError, match="^unknown preset 'nope'$"):
+        preset_configs("nope", 7, 3)
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--seed", "-1"), pytest.param("--seed", HUGE, id="--seed-1e400"),
     ("--feature-dim", "0"), ("--feature-dim", "-1"),
@@ -171,7 +181,7 @@ def test_costs_beyond_float_range_numeric_error(capsys):
 
 @pytest.mark.parametrize("error, code", [
     (errors.UsageError, 2), (errors.DimensionError, 3), (errors.FormatError, 3),
-    (errors.CueError, 3), (errors.CapacityError, 3), (errors.GenerationError, 3),
+    (errors.CueError, 3), (errors.GenerationError, 3),
     (errors.NumericError, 4), (errors.PanfuseError, 4),
 ])
 def test_each_error_class_exits_with_its_code(monkeypatch, capsys, error, code):

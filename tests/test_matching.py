@@ -6,7 +6,6 @@ import pytest
 from panfuse.matching import (
     TargetMap,
     box_iou,
-    boxes_from_segments,
     build_target_map,
     match_segments,
     panoptic_matching_loss,
@@ -70,12 +69,6 @@ def make_gt(segment_specs, h=16, w=16):
 # ---------------------------------------------------------------------------
 # Box geometry
 # ---------------------------------------------------------------------------
-
-def test_boxes_from_segments():
-    _, gt = synth_scene(SynthConfig(), seed=2)
-    out = boxes_from_segments(gt)
-    assert out == [(s.class_id, s.box) for s in gt.segments]
-
 
 def test_single_pixel_box():
     from panfuse.scene import tight_box

@@ -1,7 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
+from panfuse.errors import CueError, GenerationError, NumericError
+from panfuse.inference import MergerParams
 from panfuse.numerics import argmax_channels, channel_max, channel_sum, pixel_sum
+from panfuse.scene import SynthConfig
+from panfuse.train import TrainConfig
 
 
 def test_argmax_single_channel():
@@ -59,3 +65,17 @@ def test_channel_and_pixel_reductions_leave_input_alone():
     before = x.copy()
     channel_max(x), channel_sum(x), pixel_sum(x)
     assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("config, error, shown", [
+    (TrainConfig(steps=10**5000), NumericError, "steps must be >= 1, got 10000000000000000"),
+    (SynthConfig(n_instances=10**5000), GenerationError,
+     "n_instances must be >= 0, got 10000000000000000"),
+    (MergerParams(stuff_area_threshold=-10**5000), CueError,
+     "stuff_area_threshold must be >= 0, got -1000000000000000"),
+], ids=["TrainConfig", "SynthConfig", "MergerParams"])
+def test_config_refuses_int_past_the_string_limit(config, error, shown):
+    # More digits than str() converts: the config's own error, with the digit count.
+    message = f"{shown}... (5001 digits), which exceeds the float range (1.798e+308)"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        config.validate()

@@ -197,14 +197,6 @@ def test_validate_reports_cues_that_are_not_float(array):
     assert validate_scene(scene) == [f"{name}: dtype {dtype}, expected float32 or float64"]
 
 
-def test_validate_reports_degenerate_box():
-    scene, _ = synth_scene(SynthConfig(), seed=0)
-    det = scene.detections[0]
-    object.__setattr__(det.box, "x1", det.box.x0)  # bypass Box validation
-    violations = validate_scene(scene)
-    assert any("degenerate" in v for v in violations)
-
-
 def test_scene_roundtrip_bit_exact(tmp_path):
     cfg = SynthConfig(with_masks=True, box_truncation=0.25, confusion_rate=0.15,
                       box_jitter=1.0)

@@ -23,6 +23,7 @@ from panfuse.train import (
     make_eval_pool,
     make_pool,
     prepare_training_scene,
+    preset_configs,
     train_toy,
 )
 
@@ -154,7 +155,8 @@ def test_ablate_rows_shape(monkeypatch):
 # The fused training step against the reference path
 # ---------------------------------------------------------------------------
 
-POOL_SCENE = SynthConfig(box_truncation=0.3, confusion_rate=0.1, with_masks=True)
+# The scenes of the affinity preset: truncated boxes, confused semantics, masks.
+POOL_SCENE = preset_configs("affinity", 1, 0)[0][0].scene
 WIDE_SCENE = SynthConfig(height=64, width=64, n_instances=9, box_jitter=1.5,
                          box_truncation=0.15)
 
