@@ -28,7 +28,7 @@ from .metrics import PQStats, box_average_precision, class_pixel_counts, mean_io
 from .numerics import Bound
 from .potential import Variant, append_stuff_boxes
 from .scene import SynthConfig, load_scene, load_scene_records, save_scene, synth_scene, validate_scene
-from .train import DETECTIONS_SOURCES, PRESETS, TrainConfig, ablate, predict_panoptic, preset_configs, render_ablation_table, train_toy
+from .train import DETECTIONS_SOURCES, EVAL_SCORE_THRESHOLD, PRESETS, TrainConfig, ablate, predict_panoptic, preset_configs, render_ablation_table, train_toy
 
 EXIT_OK = 0
 
@@ -328,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", action="append", required=True)
     p.add_argument("--mode", choices=["argmax", "heuristic"], default="argmax")
     _add_field_flags(p, TrainConfig, {"--variant": "variant"})
-    p.add_argument("--score-threshold", type=_bounded(float, Bound(0, 1)), default=0.5)
+    p.add_argument("--score-threshold", type=_bounded(float, Bound(0, 1)),
+                   default=EVAL_SCORE_THRESHOLD)
     _add_field_flags(p, TrainConfig, {"--match-threshold": "match_threshold"})
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--trim", type=_count, default=0)
@@ -381,6 +382,10 @@ def main(argv: list[str] | None = None) -> int:
     except PanfuseError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
+    except OSError as e:  # a path that cannot be written, such as an existing file for --out
+        where = f"{e.filename}: {e.strerror}" if e.filename is not None else e
+        print(f"error: {where}", file=sys.stderr)
+        return CueError.exit_code  # 3, as for any other data error
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ and pixel-count tables add across scenes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,21 +39,23 @@ class ClassStats:
     def n_gt(self) -> int:
         return self.tp + self.fn
 
+    @property
+    def sq(self) -> float:
+        return self.iou_sum / self.tp if self.tp > 0 else 0.0
 
-@dataclass(frozen=True)
-class ClassReport:
-    pq: float
-    sq: float
-    rq: float
-    tp: int
-    fp: int
-    fn: int
-    iou_sum: float
+    @property
+    def rq(self) -> float:
+        denom = self.tp + 0.5 * self.fp + 0.5 * self.fn
+        return self.tp / denom if denom > 0 else 0.0
+
+    @property
+    def pq(self) -> float:
+        return self.sq * self.rq
 
 
 @dataclass
 class PQReport:
-    per_class: dict[int, ClassReport]
+    per_class: dict[int, ClassStats]  # copies: a later merge leaves the report alone
     aggregates: dict[str, tuple[float, float, float]]  # group -> (pq, sq, rq)
 
     def pq(self, group: str = "all") -> float:
@@ -139,13 +141,7 @@ class PQStats:
         return self.merge(scene)
 
     def report(self, catalog: ClassCatalog) -> PQReport:
-        per_class: dict[int, ClassReport] = {}
-        for cid, s in self.per_class.items():
-            sq = s.iou_sum / s.tp if s.tp > 0 else 0.0
-            denom = s.tp + 0.5 * s.fp + 0.5 * s.fn
-            rq = s.tp / denom if denom > 0 else 0.0
-            per_class[cid] = ClassReport(pq=sq * rq, sq=sq, rq=rq, tp=s.tp,
-                                         fp=s.fp, fn=s.fn, iou_sum=s.iou_sum)
+        per_class = {cid: replace(s) for cid, s in self.per_class.items()}
         # Aggregates: unweighted means over classes present in ground truth.
         groups = {
             "all": [cid for cid, s in self.per_class.items() if s.n_gt > 0],

@@ -303,7 +303,8 @@ def synth_scene(cfg: SynthConfig, seed: int) -> tuple[SceneCues, GroundTruthPano
     emb = np.zeros((n_seg, cfg.feature_dim))
     emb[np.arange(n_seg), slots] = 1.0
     features = emb[label].astype(DEFAULT_DTYPE)
-    features += cfg.feature_noise * rng.normal(size=features.shape)
+    with np.errstate(over="ignore"):  # a huge noise overflows; validate_scene says where
+        features += cfg.feature_noise * rng.normal(size=features.shape)
 
     # Detections from the thing instances.
     detections: list[Detection] = []

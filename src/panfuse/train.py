@@ -8,6 +8,7 @@ configs produce bit-identical reports.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -145,12 +146,15 @@ def loss_and_grads(bundle: SceneBundle, params: AffinityParams,
     Bit for bit what ``project_features``, ``apply_affinity_factored``,
     ``panoptic_matching_loss`` and ``backward_affinity`` give, in one pass:
     the projections and ``exp`` are computed once, and the input gradients
-    (``d_psi``, ``d_features``) are not computed at all. The row max and
-    the softmax denominator are reduced over the k channels one column at
-    a time (``numerics.channel_max``, ``channel_sum``), in the order numpy
-    adds them, and the bias gradients over the pixels in one call
-    (``numerics.pixel_sum``); each gives the bits of the reference's numpy
-    reduction without its per-pixel or per-row loop calls.
+    (``d_psi``, ``d_features``) are not computed at all. The row max and,
+    below 8 channels, the softmax denominator are reduced over the k
+    channels one column at a time (``numerics.channel_max``,
+    ``channel_sum``), in the order numpy adds them, and the bias gradients
+    over the pixels in one call (``numerics.pixel_sum``); each gives the
+    bits of the reference's numpy reduction without its per-pixel or
+    per-row loop calls. From 8 channels the denominator is numpy's own
+    pairwise ``sum``: no training workload has that many, and there the
+    column order saves nothing.
     """
     psi, features = bundle.psi_flat, bundle.features_flat
     if bundle.n_valid == 0:
@@ -232,20 +236,12 @@ def predict_panoptic(scene: SceneCues, params: AffinityParams | None,
 
 
 def evaluate_pq(pool: list[tuple[SceneCues, GroundTruthPanoptic]],
-                params: AffinityParams | None, variant: Variant,
-                mode: str = "argmax") -> PQReport:
-    """Held-out PQ via the argmax path or the heuristic merger."""
+                predict: Callable[[SceneCues], PanopticMap]) -> PQReport:
+    """Held-out PQ of the panoptic maps ``predict`` makes of the pool's scenes."""
     stats = PQStats()
     catalog = pool[0][0].catalog
     for scene, gt in pool:
-        if mode == "argmax":
-            pred = predict_panoptic(scene, params, variant)
-        elif mode == "heuristic":
-            pred = heuristic_merge(scene.semantic_probs, scene.detections,
-                                   MergerParams(), scene.catalog)
-        else:
-            raise NumericError(f"unknown inference mode {mode!r}")
-        stats.accumulate(pred, panoptic_from_ground_truth(gt, catalog))
+        stats.accumulate(predict(scene), panoptic_from_ground_truth(gt, catalog))
     return stats.report(catalog)
 
 
@@ -280,7 +276,8 @@ def train_toy(cfg: TrainConfig) -> TrainingReport:
         for w, d in zip((params.w0, params.b0, params.w1, params.b1), grads):
             w -= cfg.learning_rate * d
     eval_pool = make_eval_pool(cfg)
-    final_pq = evaluate_pq(eval_pool, params if cfg.use_affinity else None, cfg.variant)
+    trained = params if cfg.use_affinity else None
+    final_pq = evaluate_pq(eval_pool, lambda scene: predict_panoptic(scene, trained, cfg.variant))
     return TrainingReport(loss_curve=losses, final_pq=final_pq,
                           config=cfg, params=params)
 
@@ -350,7 +347,8 @@ def ablate(configs: list[TrainConfig], labels: list[str]) -> list[AblationRow]:
         report = train_toy(cfg)
         pq_heu = None
         if cfg.scene.with_masks:
-            heu = evaluate_pq(make_eval_pool(cfg), None, cfg.variant, mode="heuristic")
+            heu = evaluate_pq(make_eval_pool(cfg), lambda scene: heuristic_merge(
+                scene.semantic_probs, scene.detections, MergerParams(), scene.catalog))
             pq_heu = {group: pq for group, (pq, _, _) in heu.aggregates.items()}
         rows.append(AblationRow(
             label=label,

@@ -318,7 +318,14 @@ def test_eval_rejects_damaged_cue_file_like_run(tmp_path, capsys, masked_scene_a
     assert "payload size mismatch" in run_err and str(path) in run_err
 
 
+@pytest.mark.filterwarnings("error")  # the overflow in synth must not warn
 def test_run_on_non_finite_scene_exits_3_without_output(tmp_path, capsys):
+    # synth refuses a scene whose noise overflows, with the error line alone.
+    huge = tmp_path / "huge"
+    assert run_cli(*synth_args(huge, extra=["--feature-noise", "1e308"])) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: generated scene failed validation: features: non-finite value at pixel")
+    assert not huge.exists()
     scene_dir = tmp_path / "scene"
     assert run_cli(*synth_args(scene_dir, seed=1)) == 0
     path = scene_dir / "semantic_probs.panc"
@@ -347,6 +354,52 @@ def test_run_rejects_cues_that_synth_would_not_write(tmp_path, capsys, masked_sc
         assert run_cli("run", "--scene", str(scene_dir), "--out", str(out), "--mode", mode) == 3
         assert f"{path}: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_dump_match_and_eval_refuse_a_scene_without_ground_truth(tmp_path, capsys,
+                                                                 masked_scene_and_pred):
+    scene_dir, pred = masked_scene_and_pred
+    mpath = scene_dir / "manifest.json"
+    mpath.write_text(json.dumps({**json.loads(mpath.read_text()), "ground_truth": None}))
+    capsys.readouterr()
+    out, report = tmp_path / "again", tmp_path / "eval.json"
+    assert run_cli("run", "--scene", str(scene_dir), "--out", str(out), "--dump-match") == 3
+    assert capsys.readouterr().err == \
+        "error: --dump-match needs ground truth in the scene container\n"
+    assert not out.exists()
+    assert run_cli("eval", "--scene", str(scene_dir), "--pred", str(pred),
+                   "--json", str(report)) == 3
+    assert capsys.readouterr().err == \
+        f"error: scene {scene_dir} has no ground truth to evaluate against\n"
+    assert not report.exists()
+    assert run_cli("run", "--scene", str(scene_dir), "--out", str(out)) == 0
+
+
+@pytest.mark.parametrize("command, target", [
+    ("synth", "file"), ("run", "file"), ("train", "file"),
+    ("eval", "missing"), ("eval", "directory"), ("ablate", "missing"),
+])
+def test_unwritable_output_path_exits_3_naming_it(tmp_path, capsys, monkeypatch,
+                                                   masked_scene_and_pred, command, target):
+    scene_dir, pred = masked_scene_and_pred
+    path = {"file": tmp_path / "taken", "missing": tmp_path / "missing" / "x.json",
+            "directory": tmp_path}[target]
+    if target == "file":
+        path.write_text("")
+    monkeypatch.setattr(cli, "ablate", lambda configs, labels: [])
+    args = {
+        "synth": ["synth", "--out", path],
+        "run": ["run", "--scene", scene_dir, "--out", path],
+        "train": ["train", "--out", path, "--steps", "2", "--scenes", "1",
+                  "--eval-scenes", "1"],
+        "eval": ["eval", "--scene", scene_dir, "--pred", pred, "--json", path],
+        "ablate": ["ablate", "--preset", "affinity", "--json", path],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*map(str, args)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def _set(*path_and_value):

@@ -117,6 +117,22 @@ def test_merge_small_stuff_becomes_void():
     assert [s.kind for s in pmap.segments] == ["thing"]
 
 
+def test_merge_skips_low_scores_and_empty_masks():
+    catalog, v, det = merge_fixture()
+    params = MergerParams(instance_score_threshold=0.5, stuff_area_threshold=0)
+    low = Detection(det.box, 0.4, det.class_id, mask=det.mask)
+    empty = Detection(det.box, 0.95, det.class_id, mask=np.zeros_like(det.mask))
+    stuff_only = heuristic_merge(v, [], params, catalog)
+    kept = heuristic_merge(v, [det], params, catalog)
+    for skipped in (low, empty):
+        alone = heuristic_merge(v, [skipped], params, catalog)
+        assert np.array_equal(alone.label_map, stuff_only.label_map)
+        assert alone.segments == stuff_only.segments
+        both = heuristic_merge(v, [skipped, det], params, catalog)
+        assert np.array_equal(both.label_map, kept.label_map)
+        assert both.segments == kept.segments
+
+
 def test_merge_requires_masks():
     catalog, v, det = merge_fixture()
     bare = Detection(det.box, det.score, det.class_id, mask=None)

@@ -144,6 +144,22 @@ def test_pq_accumulation_associative():
         assert s.iou_sum == m.iou_sum
 
 
+def test_report_keeps_its_counts_after_a_later_merge():
+    catalog = ClassCatalog(n_stuff=3, n_thing=3)
+    scene, gt = synth_scene(SynthConfig(confusion_rate=0.2), seed=2)
+    gm = panoptic_from_ground_truth(gt, catalog)
+    stats = PQStats().accumulate(trim_small_stuff(gm, 60), gm)
+    report = stats.report(catalog)
+    before = report.to_json_dict()
+    stats.accumulate(gm, gm)
+    assert report.to_json_dict() == before
+    assert stats.report(catalog).to_json_dict() != before
+    for cid, r in report.per_class.items():
+        assert r is not stats.per_class[cid]
+        denom = r.tp + 0.5 * r.fp + 0.5 * r.fn
+        assert (r.sq, r.rq) == (r.iou_sum / r.tp if r.tp else 0.0, r.tp / denom)
+
+
 def test_trim_changes_only_stuff_counts():
     catalog = ClassCatalog(n_stuff=2, n_thing=2)
     scene, gt = synth_scene(SynthConfig(n_stuff=2, n_thing=2, stuff_segments=2),
@@ -236,6 +252,10 @@ def test_ap_perfect_detections():
 
 def test_ap_no_detections():
     assert box_average_precision([], [(1, Box(0, 0, 2, 2))]) == 0.0
+
+
+def test_ap_without_ground_truth_things_is_zero():
+    assert box_average_precision([Detection(Box(0, 0, 2, 2), 0.9, 1)], []) == 0.0
 
 
 def test_ap_ranked_fp_after_tp():

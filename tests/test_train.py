@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from panfuse.train import (
     TrainConfig,
     ablate,
     ground_truth_detections,
+    render_ablation_table,
     loss_and_grads,
     make_eval_pool,
     make_pool,
@@ -101,6 +103,21 @@ def test_ground_truth_detections_shape():
         assert det.box == seg.box and det.score == 1.0
 
 
+def test_ground_truth_detections_masks():
+    # Masks only where the scene's detections carry them, in the cue dtype.
+    scene, gt = synth_scene(replace(SMALL_SCENE, with_masks=True, n_instances=2), seed=6)
+    scene = replace(scene, semantic_probs=scene.semantic_probs.astype(np.float32))
+    things = [s for s in gt.segments if scene.catalog.is_thing(s.class_id)]
+    dets = ground_truth_detections(scene, gt)
+    assert things and len(dets) == len(things)
+    for det, seg in zip(dets, things):
+        assert det.mask.dtype == np.float32
+        assert np.array_equal(det.mask, gt.label_map == seg.index)
+    bare, gt = synth_scene(replace(SMALL_SCENE, n_instances=2), seed=6)
+    dets = ground_truth_detections(bare, gt)
+    assert dets and all(d.mask is None for d in dets)
+
+
 @pytest.mark.parametrize("name, value", [
     ("learning_rate", np.nan), ("learning_rate", np.inf), ("learning_rate", 0.0),
     ("match_threshold", 0.0), ("match_threshold", 1.5), ("match_threshold", np.nan),
@@ -149,6 +166,23 @@ def test_ablate_rows_shape(monkeypatch):
     # One held-out pool per config for its argmax PQ, and a second one only
     # where the heuristic merger scores it.
     assert built == cfgs + [cfgs[3]]
+
+    # A header and one line per row; "-" where no heuristic PQ was scored.
+    table = render_ablation_table(rows).splitlines()
+    assert table[0].split() == ["label", "msk", "aff", "dets", "var", "PQ", "PQ-th",
+                                "PQ-st", "PQ-heu", "loss"]
+    assert len(table) == 1 + len(rows)
+    for r, line in zip(rows, table[1:]):
+        assert line.split() == [
+            r.label, "y" if r.masks else "n", "y" if r.use_affinity else "n",
+            r.detections_source, r.variant,
+            *(f"{r.pq_argmax[g]:.4f}" for g in ("all", "things", "stuff")),
+            "-" if r.pq_heuristic is None else f"{r.pq_heuristic['all']:.4f}",
+            f"{r.final_loss:.4f}"]
+    dicts = [r.to_json_dict() for r in rows]
+    assert ["pq_heuristic" in d for d in dicts] == [False, False, False, True]
+    assert dicts[3]["pq_heuristic"] == rows[3].pq_heuristic
+    assert json.loads(json.dumps(dicts)) == dicts
 
 
 # ---------------------------------------------------------------------------
