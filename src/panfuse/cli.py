@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import errno
 import functools
 import json
 import os
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import container
 from .affinity import AffinityParams, affinity_map_for_pixel, estimate_costs, project_features
-from .errors import CueError, FormatError, GenerationError, PanfuseError, UsageError
+from .errors import CueError, FormatError, GenerationError, NumericError, PanfuseError, UsageError
 from .inference import MergerParams, heuristic_merge, load_panoptic, panoptic_from_ground_truth, save_panoptic, trim_small_stuff
 from .matching import match_segments
 from .metrics import PQStats, box_average_precision, class_pixel_counts, mean_iou, thing_stuff_confusion
@@ -171,8 +172,11 @@ def _run_one(args: argparse.Namespace, scene_path: str, out_path: str,
         pmap = heuristic_merge(scene.semantic_probs, scene.detections,
                                _config(MergerParams, args, _MERGER_FLAGS), scene.catalog)
     else:
-        pmap = predict_panoptic(scene, params, Variant(args.variant),
-                                args.score_threshold)
+        try:
+            pmap = predict_panoptic(scene, params, Variant(args.variant),
+                                    args.score_threshold)
+        except NumericError as e:
+            raise NumericError(f"scene {scene_path}: {e}") from None
 
     if args.trim > 0:
         pmap = trim_small_stuff(pmap, args.trim)
@@ -214,7 +218,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_output(path: str, directory: bool) -> None:
+    """Raise, before any training, the OSError that writing the output
+    ``path`` would raise; create nothing. A ``directory`` is made with its
+    missing parents; a file needs its parent directory."""
+    p = Path(path)
+    if directory:
+        ancestor = next(a for a in (p, *p.parents) if a.exists())
+        ok, code = ancestor.is_dir(), errno.EEXIST if ancestor == p else errno.ENOTDIR
+    elif p.is_dir():
+        ok, code = False, errno.EISDIR
+    else:
+        ok, code = p.parent.is_dir(), errno.ENOTDIR if p.parent.exists() else errno.ENOENT
+    if not ok:
+        raise OSError(code, os.strerror(code), str(p))
+
+
 def cmd_train(args: argparse.Namespace) -> int:
+    _check_output(args.out, directory=True)
     scene = _config(SynthConfig, args, _SYNTH_FLAGS)
     report = train_toy(_config(TrainConfig, args, _TRAIN_FLAGS, scene=scene))
     out = Path(args.out)
@@ -302,6 +323,8 @@ def cmd_costs(args: argparse.Namespace) -> int:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     configs, labels = preset_configs(args.preset, args.steps, args.seed)
+    if args.json:
+        _check_output(args.json, directory=False)
     rows = ablate(configs, labels)
     payload = [r.to_json_dict() for r in rows]
     if args.json:

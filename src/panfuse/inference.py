@@ -178,15 +178,19 @@ def panoptic_from_ground_truth(gt: GroundTruthPanoptic,
 # ---------------------------------------------------------------------------
 
 def save_panoptic(pmap: PanopticMap, path: str | Path) -> None:
+    """Write the grid and its sidecar; the ids are checked before anything
+    is created, so a map with more than 999 thing segments leaves no output."""
     root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
     encode = np.full(len(pmap.segments) + 1, SENTINEL_U32, dtype=np.uint32)
     for s in pmap.segments:
         if s.instance_id >= _INSTANCE_ENCODING_BASE:
             raise FormatError(
-                f"instance id {s.instance_id} exceeds the u32 encoding base"
+                f"{root / 'panoptic.panc'}: instance id {s.instance_id} exceeds the "
+                f"u32 encoding base; a map holds at most "
+                f"{_INSTANCE_ENCODING_BASE - 1} thing segments"
             )
         encode[s.index] = s.encoded_id
+    root.mkdir(parents=True, exist_ok=True)
     container.write_tensor(root / "panoptic.panc", encode[pmap.label_map])
     sidecar = {
         "format": "panfuse-panoptic",

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import DimensionError, PanfuseError
 from .numerics import IGNORE, require_tensor3
-from .potential import ChannelInfo
 from .scene import Box, ClassCatalog, Detection, GroundTruthPanoptic
 
 
@@ -36,9 +35,6 @@ class MatchResult:
     pairs: list[MatchPair]
     unmatched_gt: list[int]
     removed_duplicates: list[int]
-
-    def detection_for_gt(self) -> dict[int, int]:
-        return {p.gt_index: p.detection_index for p in self.pairs}
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -127,23 +123,24 @@ def match_segments(gt: GroundTruthPanoptic, dets: list[Detection], t: float,
 
 
 def build_target_map(gt: GroundTruthPanoptic, match: MatchResult,
-                     channel_meta: list[ChannelInfo]) -> TargetMap:
-    """Relabel ground truth into (post-duplicate-removal) channel space.
+                     kept: list[int]) -> TargetMap:
+    """Relabel ground truth into channel space, where channel k is the
+    detection at position ``kept[k]`` of the matched list.
 
     Matched segments map to their detection's channel; stuff segments to
     their class channel; unmatched segments and ground-truth IGNORE pixels
     stay IGNORE and contribute no gradient downstream.
     """
-    channel_by_det = {info.detection_index: k for k, info in enumerate(channel_meta)}
+    channel_by_det = {det_index: k for k, det_index in enumerate(kept)}
     n_segments = max((s.index for s in gt.segments), default=-1) + 1
     lut = np.full(n_segments + 1, IGNORE, dtype=np.int32)
-    for seg_index, det_index in match.detection_for_gt().items():
-        if det_index not in channel_by_det:
+    for pair in match.pairs:
+        if pair.detection_index not in channel_by_det:
             raise PanfuseError(
-                f"match pairs ground-truth segment {seg_index} with detection "
-                f"{det_index}, which has no channel (removed?)"
+                f"match pairs ground-truth segment {pair.gt_index} with detection "
+                f"{pair.detection_index}, which has no channel (removed?)"
             )
-        lut[seg_index] = channel_by_det[det_index]
+        lut[pair.gt_index] = channel_by_det[pair.detection_index]
     return TargetMap(label_map=lut[gt.label_map])
 
 

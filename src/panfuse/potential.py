@@ -42,7 +42,6 @@ class ChannelInfo:
 
     kind: str  # "stuff" | "thing"
     class_id: int
-    detection_index: int  # position in the detection list fed to build_potential
 
 
 @dataclass
@@ -53,16 +52,6 @@ class DynamicPotential:
     @property
     def n_channels(self) -> int:
         return self.psi.shape[2]
-
-    def without_detections(self, detection_indices) -> "DynamicPotential":
-        """Drop the channels of the given detections (duplicate removal)."""
-        drop = set(detection_indices)
-        keep = [k for k, info in enumerate(self.channels)
-                if info.detection_index not in drop]
-        return DynamicPotential(
-            psi=self.psi[:, :, keep].copy(),
-            channels=[self.channels[k] for k in keep],
-        )
 
 
 def append_stuff_boxes(dets: list[Detection], catalog: ClassCatalog,
@@ -128,9 +117,6 @@ def build_potential(v: np.ndarray, dets: list[Detection], variant: Variant,
         else:  # A and B are multiplicative; absent mask is the identity
             region = score * (prob * m if m is not None else prob)
         psi[sl[0], sl[1], k] = region
-        channels.append(ChannelInfo(
-            kind="thing" if is_thing else "stuff",
-            class_id=det.class_id,
-            detection_index=k,
-        ))
+        channels.append(ChannelInfo(kind="thing" if is_thing else "stuff",
+                                    class_id=det.class_id))
     return DynamicPotential(psi=psi, channels=channels)

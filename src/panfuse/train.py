@@ -123,9 +123,10 @@ def prepare_training_scene(scene: SceneCues, gt: GroundTruthPanoptic,
                            match_threshold: float) -> SceneBundle:
     """Assemble the fixed potential and target for one training scene.
 
-    Detections are matched against ground truth; duplicate detections lose
-    their channel before the potential is fed onward, and unmatched
-    ground-truth segments become IGNORE in the target.
+    Detections are matched against ground truth; duplicate detections are
+    dropped before the potential is built, so channel k is the k-th kept
+    detection, and unmatched ground-truth segments become IGNORE in the
+    target.
     """
     if detections_source == "ground_truth":
         things = ground_truth_detections(scene, gt)
@@ -133,9 +134,10 @@ def prepare_training_scene(scene: SceneCues, gt: GroundTruthPanoptic,
         things = scene.detections
     dets = append_stuff_boxes(things, scene.catalog, scene.height, scene.width)
     match = match_segments(gt, dets, match_threshold, scene.catalog)
-    potential = build_potential(scene.semantic_probs, dets, variant, scene.catalog)
-    potential = potential.without_detections(match.removed_duplicates)
-    target = build_target_map(gt, match, potential.channels)
+    kept = [i for i in range(len(dets)) if i not in match.removed_duplicates]
+    potential = build_potential(scene.semantic_probs, [dets[i] for i in kept],
+                                variant, scene.catalog)
+    target = build_target_map(gt, match, kept)
     return SceneBundle(scene=scene, potential=potential, target=target)
 
 
@@ -214,15 +216,19 @@ def panoptic_logits(scene: SceneCues, params: AffinityParams | None,
 
     Returns the logits, the potential and the detections its channels
     index (stuff pseudo-detections first). Without ``params`` the logits
-    are the potential itself.
+    are the potential itself. Finite but huge features can overflow the
+    affinity forward; that raises ``NumericError`` instead of warning.
     """
     dets = filter_by_score(scene.detections, score_threshold)
     dets = append_stuff_boxes(dets, scene.catalog, scene.height, scene.width)
     potential = build_potential(scene.semantic_probs, dets, variant, scene.catalog)
     p = potential.psi
     if params is not None:
-        q0, q1 = project_features(scene.features, params)
-        p = apply_affinity_factored(p, q0, q1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q0, q1 = project_features(scene.features, params)
+            p = apply_affinity_factored(p, q0, q1)
+        if not np.isfinite(p).all():
+            raise NumericError("the affinity forward gave non-finite logits")
     return p, potential, dets
 
 

@@ -45,7 +45,7 @@ from panfuse.train import (
 
 from gradients import scene_gradient_errors
 from reference import apply_affinity_naive
-from test_matching import brute_force_total_iou, detection_channel
+from test_matching import brute_force_total_iou
 
 
 def report(number, detail):
@@ -226,12 +226,13 @@ def object_recovery(scene, gt, params, variant):
     """Fraction of each ground-truth thing segment recovered by inference.
 
     A pixel counts as recovered when the argmax of the inference forward
-    assigns it to the channel of the detection matched to that segment.
+    assigns it to the channel of the detection matched to that segment;
+    channel k is detection k.
     """
-    p, potential, dets = panoptic_logits(scene, params, variant)
+    p, _, dets = panoptic_logits(scene, params, variant)
     match = match_segments(gt, dets, 0.1, scene.catalog)
     winners = p.argmax(axis=2)
-    det_for_gt = match.detection_for_gt()
+    det_for_gt = {pair.gt_index: pair.detection_index for pair in match.pairs}
     fractions = []
     for seg in gt.segments:
         if not scene.catalog.is_thing(seg.class_id):
@@ -241,8 +242,7 @@ def object_recovery(scene, gt, params, variant):
             fractions.append(0.0)
             continue
         pixels = gt.label_map == seg.index
-        channel = detection_channel(potential, det_index)
-        fractions.append(float((winners[pixels] == channel).mean()))
+        fractions.append(float((winners[pixels] == det_index).mean()))
     return fractions
 
 

@@ -376,17 +376,22 @@ def test_dump_match_and_eval_refuse_a_scene_without_ground_truth(tmp_path, capsy
 
 
 @pytest.mark.parametrize("command, target", [
-    ("synth", "file"), ("run", "file"), ("train", "file"),
+    ("synth", "file"), ("run", "file"), ("train", "file"), ("train", "below-file"),
     ("eval", "missing"), ("eval", "directory"), ("ablate", "missing"),
+    ("ablate", "directory"), ("ablate", "below-file"),
 ])
 def test_unwritable_output_path_exits_3_naming_it(tmp_path, capsys, monkeypatch,
                                                    masked_scene_and_pred, command, target):
     scene_dir, pred = masked_scene_and_pred
-    path = {"file": tmp_path / "taken", "missing": tmp_path / "missing" / "x.json",
-            "directory": tmp_path}[target]
-    if target == "file":
-        path.write_text("")
-    monkeypatch.setattr(cli, "ablate", lambda configs, labels: [])
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path = {"file": taken, "below-file": taken / "x", "directory": tmp_path,
+            "missing": tmp_path / "missing" / "x.json"}[target]
+
+    def no_training(*args):
+        raise AssertionError("the output path is checked before training")
+    monkeypatch.setattr(cli, "train_toy", no_training)
+    monkeypatch.setattr(cli, "ablate", no_training)
     args = {
         "synth": ["synth", "--out", path],
         "run": ["run", "--scene", scene_dir, "--out", path],
@@ -400,6 +405,24 @@ def test_unwritable_output_path_exits_3_naming_it(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == sorted([taken, scene_dir, pred])
+
+
+@pytest.mark.parametrize("command, name", [
+    ("run", "manifest.json"), ("eval", "manifest.json"), ("eval", "segments.json"),
+])
+def test_container_without_its_manifest_exits_3_naming_the_directory(
+        tmp_path, capsys, masked_scene_and_pred, command, name):
+    scene_dir, pred = masked_scene_and_pred
+    root = pred if name == "segments.json" else scene_dir
+    (root / name).unlink()
+    out = tmp_path / "again"
+    args = {"run": ["run", "--scene", scene_dir, "--out", out],
+            "eval": ["eval", "--scene", scene_dir, "--pred", pred, "--json", out]}[command]
+    capsys.readouterr()
+    assert run_cli(*map(str, args)) == 3
+    assert capsys.readouterr().err == f"error: no {name} in {root}\n"
+    assert not out.exists()
 
 
 def _set(*path_and_value):
@@ -587,6 +610,27 @@ def test_run_writes_the_library_forward(tmp_path, scene_and_params, variant, che
     save_panoptic(pmap, tmp_path / "lib")
     for name in ("panoptic.panc", "segments.json"):
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
+@pytest.mark.filterwarnings("error")  # the overflow must not warn
+def test_run_on_features_that_overflow_the_affinity_exits_4_without_output(
+        tmp_path, capsys, scene_and_params):
+    scene_dir, ckpt = scene_and_params
+    copy = tmp_path / "scene"
+    shutil.copytree(scene_dir, copy)
+    path = copy / "features.panc"
+    features = container.read_tensor(path)
+    features[0, 0:2, :] = 1e308  # finite, but their sum is not
+    container.write_tensor(path, features)
+    load_scene(copy)  # the scene itself is valid
+    out = tmp_path / "pred"
+    capsys.readouterr()
+    assert run_cli("run", "--scene", str(copy), "--out", str(out),
+                   "--checkpoint", str(ckpt)) == 4
+    assert capsys.readouterr().err == \
+        f"error: scene {copy}: the affinity forward gave non-finite logits\n"
+    assert not out.exists()
+    assert run_cli("run", "--scene", str(copy), "--out", str(out)) == 0
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -804,6 +848,11 @@ def _sigmoid_activation(ckpt, _):
     return '{ckpt}/params.json: key activation must be "rectifier", got "sigmoid"'
 
 
+def _no_params_json(ckpt, _):
+    (ckpt / "params.json").unlink()
+    return "error: no params.json in {ckpt}"
+
+
 def _narrow_scene(_, scene_dir):
     assert run_cli(*synth_args(scene_dir, extra=["--feature-dim", "8"])) == 0
     return "scene {scene} has 8-channel features, but checkpoint {ckpt} expects 16"
@@ -811,7 +860,7 @@ def _narrow_scene(_, scene_dir):
 
 @pytest.mark.parametrize("damage", [_nan_w1, _short_b0, _u32_w0, _narrow_scene,
                                     _narrow_feature_dim, _float_feature_dim,
-                                    _sigmoid_activation])
+                                    _sigmoid_activation, _no_params_json])
 def test_run_rejects_checkpoint_faults_naming_the_files(tmp_path, capsys, scene_and_params,
                                                         damage):
     scene_dir, ckpt = scene_and_params

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from panfuse.errors import CueError
+from panfuse.errors import CueError, FormatError
 from panfuse.inference import (
     MergerParams,
     heuristic_merge,
@@ -17,7 +19,7 @@ from panfuse.scene import Box, ClassCatalog, Detection, SynthConfig, synth_scene
 
 
 def stuff_channels(n):
-    return [ChannelInfo("stuff", i, i) for i in range(n)]
+    return [ChannelInfo("stuff", i) for i in range(n)]
 
 
 def test_infer_stuff_partition():
@@ -35,8 +37,7 @@ def test_infer_two_disjoint_things():
     p[:, :, 0] = 0.1
     p[:2, :3, 1] = 1.0
     p[2:, 3:, 2] = 1.0
-    meta = [ChannelInfo("stuff", 0, 0), ChannelInfo("thing", 1, 1),
-            ChannelInfo("thing", 1, 2)]
+    meta = [ChannelInfo("stuff", 0), ChannelInfo("thing", 1), ChannelInfo("thing", 1)]
     pmap = infer_panoptic(p, meta)
     things = [s for s in pmap.segments if s.kind == "thing"]
     assert sorted(s.area for s in things) == [6, 6]
@@ -49,14 +50,28 @@ def test_instance_ids_count_only_winning_thing_channels(tmp_path):
     p[:, :, 0] = 0.5
     p[:2, :2, 1] = 1.0
     p[2:, 2:, 1001] = 1.0
-    meta = [ChannelInfo("stuff", 0, 0)] + [ChannelInfo("thing", 1, k)
-                                           for k in range(1, 1002)]
+    meta = [ChannelInfo("stuff", 0)] + [ChannelInfo("thing", 1)] * 1001
     pmap = infer_panoptic(p, meta)
     things = [s for s in pmap.segments if s.kind == "thing"]
     assert [s.instance_id for s in things] == [1, 2]
     save_panoptic(pmap, tmp_path / "pred")
     loaded = load_panoptic(tmp_path / "pred")
     assert np.array_equal(loaded.label_map, pmap.label_map)
+
+
+def test_save_refuses_1000_thing_segments_before_creating_anything(tmp_path):
+    # 1000 one-pixel things on a 32x32 stuff background.
+    p = np.zeros((32, 32, 1001))
+    p[:, :, 0] = 0.5
+    p.reshape(1024, 1001)[np.arange(1000), np.arange(1, 1001)] = 1.0
+    pmap = infer_panoptic(p, [ChannelInfo("stuff", 0)] + [ChannelInfo("thing", 1)] * 1000)
+    assert max(s.instance_id for s in pmap.segments) == 1000
+    out = tmp_path / "pred"
+    with pytest.raises(FormatError, match=re.escape(
+            f"{out / 'panoptic.panc'}: instance id 1000 exceeds the u32 encoding base; "
+            "a map holds at most 999 thing segments")):
+        save_panoptic(pmap, out)
+    assert not out.exists()
 
 
 def test_infer_never_emits_void():

@@ -11,7 +11,7 @@ from panfuse.matching import (
     panoptic_matching_loss,
 )
 from panfuse.numerics import IGNORE
-from panfuse.potential import Variant, append_stuff_boxes, build_potential
+from panfuse.potential import append_stuff_boxes
 from panfuse.scene import (
     Box,
     ClassCatalog,
@@ -209,7 +209,7 @@ def test_stuff_matches_by_class_identity():
     gt = make_gt([(1, Box(0, 0, 4, 4)), (0, Box(4, 4, 16, 16))])
     dets = append_stuff_boxes([], catalog, 16, 16)
     match = match_segments(gt, dets, 0.5, catalog)
-    by_gt = match.detection_for_gt()
+    by_gt = {p.gt_index: p.detection_index for p in match.pairs}
     assert dets[by_gt[0]].class_id == 1
     assert dets[by_gt[1]].class_id == 0
     assert match.unmatched_gt == []
@@ -219,31 +219,23 @@ def test_stuff_matches_by_class_identity():
 # Target maps
 # ---------------------------------------------------------------------------
 
-def build_pipeline(scene, gt, t=0.5):
+def match_and_keep(scene, gt, t=0.5):
+    """The match of a scene's detections and the positions that keep a
+    channel, as in training."""
     dets = append_stuff_boxes(scene.detections, scene.catalog,
                               scene.height, scene.width)
     match = match_segments(gt, dets, t, scene.catalog)
-    pot = build_potential(scene.semantic_probs, dets, Variant.B, scene.catalog)
-    pot = pot.without_detections(match.removed_duplicates)
-    return dets, match, pot
-
-
-def detection_channel(pot, detection_index):
-    """The potential channel of a detection; None when it has none."""
-    return next((k for k, info in enumerate(pot.channels)
-                 if info.detection_index == detection_index), None)
+    return match, [i for i in range(len(dets)) if i not in match.removed_duplicates]
 
 
 def test_target_map_perfect_detections():
     scene, gt = synth_scene(SynthConfig(), seed=14)
-    _, match, pot = build_pipeline(scene, gt)
-    target = build_target_map(gt, match, pot.channels)
+    target = build_target_map(gt, *match_and_keep(scene, gt))
     assert (target.label_map == IGNORE).sum() == 0
-    # Every stuff pixel maps to its class channel.
+    # Every stuff pixel maps to its class channel: stuff comes first.
     for seg in gt.segments:
         if scene.catalog.is_stuff(seg.class_id):
-            channel = detection_channel(pot, seg.class_id)
-            assert (target.label_map[gt.label_map == seg.index] == channel).all()
+            assert (target.label_map[gt.label_map == seg.index] == seg.class_id).all()
 
 
 def test_target_map_unmatched_becomes_ignore():
@@ -253,18 +245,15 @@ def test_target_map_unmatched_becomes_ignore():
     assert gt.segments[1].area == 49
     dets = append_stuff_boxes([], catalog, 16, 16)  # no thing detections
     match = match_segments(gt, dets, 0.5, catalog)
-    pot = build_potential(np.full((16, 16, 2), 0.5), dets, Variant.B, catalog)
-    target = build_target_map(gt, match, pot.channels)
+    target = build_target_map(gt, match, list(range(len(dets))))
     assert (target.label_map == IGNORE).sum() == 49
 
 
 def test_target_map_stuff_only_scene():
     scene, gt = synth_scene(SynthConfig(n_instances=0), seed=3)
-    _, match, pot = build_pipeline(scene, gt)
-    target = build_target_map(gt, match, pot.channels)
+    target = build_target_map(gt, *match_and_keep(scene, gt))
     for seg in gt.segments:
-        channel = detection_channel(pot, seg.class_id)
-        assert (target.label_map[gt.label_map == seg.index] == channel).all()
+        assert (target.label_map[gt.label_map == seg.index] == seg.class_id).all()
 
 
 # ---------------------------------------------------------------------------

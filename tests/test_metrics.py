@@ -528,7 +528,7 @@ def test_class_table_scores_equal_per_class_scans(case):
 def logits_and_channels(draw):
     shape = draw(grid_shapes)
     kinds = draw(st.lists(st.sampled_from(["stuff", "thing"]), min_size=1, max_size=8))
-    meta = [ChannelInfo(kind, draw(st.integers(0, 5)), k) for k, kind in enumerate(kinds)]
+    meta = [ChannelInfo(kind, draw(st.integers(0, 5))) for kind in kinds]
     # Few distinct values, so ties and channels that win nowhere are common.
     p = draw(hnp.arrays(np.float64, shape + (len(meta),),
                         elements=st.sampled_from([0.0, 0.5, 1.0, 2.0])))

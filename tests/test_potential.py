@@ -131,8 +131,7 @@ def test_pixels_outside_box_are_zero():
     dets = append_stuff_boxes(scene.detections, scene.catalog,
                               scene.height, scene.width)
     pot = build_potential(scene.semantic_probs, dets, Variant.B, scene.catalog)
-    for k, info in enumerate(pot.channels):
-        d = dets[info.detection_index]
+    for k, d in enumerate(dets):
         outside = pot.psi[:, :, k].copy()
         outside[d.box.y0:d.box.y1, d.box.x0:d.box.x1] = 0.0
         assert not outside.any()
@@ -155,21 +154,9 @@ def test_off_grid_box_keeps_an_all_zero_channel_at_its_index():
     dets = append_stuff_boxes(things, catalog, 2, 2)
     pot = build_potential(v, dets, Variant.B, catalog)
     assert pot.n_channels == 3
-    assert [c.detection_index for c in pot.channels] == [0, 1, 2]
+    assert [c.class_id for c in pot.channels] == [0, 1, 1]
     assert not pot.psi[:, :, 1].any()
     assert pot.psi[0, 0, 2] == 0.8 * 0.5
-
-
-def test_without_detections_removes_channels():
-    catalog, v = fixture_scene()
-    things = [det(Box(0, 0, 1, 2), 0.8, 1), det(Box(1, 0, 2, 2), 0.7, 1)]
-    dets = append_stuff_boxes(things, catalog, 2, 2)
-    pot = build_potential(v, dets, Variant.B, catalog)
-    assert pot.n_channels == 3
-    trimmed = pot.without_detections([2])  # drop the second channel overall
-    assert trimmed.n_channels == 2
-    assert [c.detection_index for c in trimmed.channels] == [0, 1]
-    assert np.array_equal(trimmed.psi, pot.psi[:, :, [0, 1]])
 
 
 def planes_reference(v, dets, variant, catalog):
@@ -213,8 +200,7 @@ def test_build_potential_equals_planes_reference(variant, masks, dtype):
     assert got.psi.dtype == psi.dtype and got.psi.shape == psi.shape
     assert got.psi.tobytes() == psi.tobytes()
     assert got.psi.flags.c_contiguous
-    assert [(c.class_id, c.detection_index) for c in got.channels] == [
-        (d.class_id, k) for k, d in enumerate(dets)]
+    assert [c.class_id for c in got.channels] == [d.class_id for d in dets]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

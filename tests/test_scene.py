@@ -10,7 +10,7 @@ from panfuse.errors import FormatError, GenerationError
 from panfuse.inference import panoptic_from_ground_truth
 from panfuse.matching import build_target_map, match_segments
 from panfuse.numerics import IGNORE, SENTINEL_U32
-from panfuse.potential import Variant, append_stuff_boxes, build_potential
+from panfuse.potential import append_stuff_boxes
 from panfuse.scene import (
     Box,
     GroundTruthPanoptic,
@@ -182,6 +182,18 @@ def test_validate_reports_shapes_and_then_skips_values(array, shape, message):
     else:
         setattr(scene, array, np.zeros(shape))
     assert validate_scene(scene) == [message]
+
+
+@pytest.mark.parametrize("shape, probs, features", [
+    ((32,), "(32, 6)", "(32, 16)"), ((), "(6)", "(16)"),
+], ids=["rank-1", "rank-0"])
+def test_validate_reports_probabilities_without_a_grid_and_skips_the_boxes(shape, probs,
+                                                                           features):
+    scene, _ = synth_scene(SynthConfig(), seed=1)
+    scene.semantic_probs = np.zeros(shape)
+    assert validate_scene(scene) == [
+        f"semantic_probs: shape {shape}, expected {probs}",
+        f"features: shape (32, 32, 16), expected {features}"]
 
 
 @pytest.mark.parametrize("array", ["semantic_probs", "features", "mask"])
@@ -480,6 +492,5 @@ def test_ignore_pixels_are_stored_as_the_u32_sentinel_and_stay_ignore(tmp_path):
     assert np.array_equal(classes == IGNORE, ignore)
     dets = append_stuff_boxes(scene.detections, scene.catalog, scene.height, scene.width)
     match = match_segments(loaded, dets, 0.5, scene.catalog)
-    potential = build_potential(scene.semantic_probs, dets, Variant.B, scene.catalog)
-    target = build_target_map(loaded, match, potential.channels)
+    target = build_target_map(loaded, match, list(range(len(dets))))
     assert (target.label_map[ignore] == IGNORE).all()

@@ -12,9 +12,9 @@ from panfuse.affinity import (
     project_features,
 )
 from panfuse.errors import DimensionError, NumericError
-from panfuse.matching import TargetMap, panoptic_matching_loss
+from panfuse.matching import TargetMap, match_segments, panoptic_matching_loss
 from panfuse.numerics import IGNORE
-from panfuse.potential import Variant
+from panfuse.potential import Variant, append_stuff_boxes, build_potential
 from panfuse.scene import SynthConfig, synth_scene
 from panfuse.train import (
     TrainConfig,
@@ -259,6 +259,37 @@ def test_out_of_range_target_channel_raises_like_the_loss():
     with pytest.raises(DimensionError) as from_bundle:
         replace(bundle, target=TargetMap(label))
     assert str(from_bundle.value) == str(from_loss.value)
+
+
+def with_duplicates(scene):
+    """The scene with a weaker copy after each thing detection: its box
+    1 px narrower, its score x0.9 and its mask x0.5."""
+    copies = [replace(d, box=replace(d.box, x1=d.box.x1 - 1), score=0.9 * d.score,
+                      mask=None if d.mask is None else 0.5 * d.mask)
+              for d in scene.detections if d.box.width > 1]
+    return replace(scene, detections=scene.detections + copies)
+
+
+def test_prepare_training_scene_drops_duplicates_before_the_potential():
+    removed = 0
+    for seed in range(4):
+        scene, gt = synth_scene(POOL_SCENE, seed=seed)
+        scene = with_duplicates(scene)
+        bundle = prepare_training_scene(scene, gt, Variant.B, "predicted", 0.4)
+        dets = append_stuff_boxes(scene.detections, scene.catalog, scene.height, scene.width)
+        match = match_segments(gt, dets, 0.4, scene.catalog)
+        kept = [i for i in range(len(dets)) if i not in match.removed_duplicates]
+        removed += len(match.removed_duplicates)
+        # A removed duplicate has no channel; every kept detection has its own.
+        full = build_potential(scene.semantic_probs, dets, Variant.B, scene.catalog)
+        assert bundle.potential.psi.tobytes() == full.psi[:, :, kept].tobytes()
+        assert bundle.potential.channels == [full.channels[i] for i in kept]
+        # The target points at the kept positions of the matched detections.
+        expected = np.full_like(gt.label_map, IGNORE)
+        for pair in match.pairs:
+            expected[gt.label_map == pair.gt_index] = kept.index(pair.detection_index)
+        assert np.array_equal(bundle.target.label_map, expected)
+    assert removed > 0
 
 
 def test_train_toy_matches_reference_loop():
