@@ -9,6 +9,7 @@ dictionaries. Exit codes: 0 success, 2 usage, 3 data/cue error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import errno
 import functools
@@ -34,22 +35,37 @@ from .train import DETECTIONS_SOURCES, EVAL_SCORE_THRESHOLD, PRESETS, TrainConfi
 EXIT_OK = 0
 
 
-@functools.cache
-def _keep_freed_heap() -> None:
-    """Let glibc keep up to 64 MB of freed heap instead of returning it to the OS.
+# Set in the environment, these thread counts are OpenBLAS's own to read.
+_BLAS_THREAD_VARIABLES = frozenset({"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"})
 
+
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS, which ``import numpy`` has loaded, or None."""
+    for path in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        return ctypes.CDLL(str(path))
+    return None
+
+
+@functools.cache
+def _set_up_process() -> None:
+    """Keep freed heap and run numpy's OpenBLAS on one thread, once per process.
+
+    glibc keeps up to 64 MB of freed heap instead of returning it to the OS.
     Without it the top of the heap is trimmed after each scene, and the next
     scene faults all its arrays in again: about 4,300 pages per 128x128 scene
-    with 24 instances. Elsewhere, or where ``mallopt`` refuses, nothing changes.
+    with 24 instances. OpenBLAS's second thread splits the thin gemms of such
+    a scene and spins between them: it doubles the CPU time per scene for a
+    few percent of wall time. Without glibc or the library, or where a call
+    refuses, nothing changes.
     """
-    try:
-        if not os.confstr("CS_GNU_LIBC_VERSION"):
-            return
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, ValueError):  # no confstr, no libc handle, no mallopt
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-2, 64 << 20)  # M_TOP_PAD; a refusal (0) leaves the default
+    with contextlib.suppress(AttributeError, OSError, ValueError):  # no confstr, libc or mallopt
+        if os.confstr("CS_GNU_LIBC_VERSION"):
+            mallopt = ctypes.CDLL(None).mallopt
+            mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+            mallopt(-2, 64 << 20)  # M_TOP_PAD; a refusal (0) leaves the default
+    if _BLAS_THREAD_VARIABLES.isdisjoint(os.environ):
+        with contextlib.suppress(AttributeError, OSError):  # no library (None) or no setter
+            _openblas().scipy_openblas_set_num_threads64_(1)
 
 
 def _worker_count() -> int:
@@ -394,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _keep_freed_heap()
+    _set_up_process()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,4 +1,6 @@
 import contextlib
+import ctypes
+import functools
 import io
 import json
 import os
@@ -1106,3 +1108,88 @@ def test_run_and_eval_keep_the_freed_heap_between_scenes(tmp_path):
         assert run_cli(*run) == 0 and run_cli(*evaluate) == 0
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert faults[1] / 2 < 300, faults
+
+
+# Prints numpy's OpenBLAS thread count after `import numpy`, after
+# `import panfuse, panfuse.cli` and after one `cli.main` call; 0 0 0 when
+# numpy has no bundled OpenBLAS.
+_BLAS_THREADS_PROBE = """
+import contextlib, ctypes, io, pathlib
+import numpy
+libs = list((pathlib.Path(numpy.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"))
+threads = ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_ if libs else lambda: 0
+counts = [threads()]
+import panfuse, panfuse.cli
+counts.append(threads())
+with contextlib.redirect_stdout(io.StringIO()):
+    panfuse.cli.main(["costs", "--h", "4", "--w", "4", "--c", "2", "--ndet", "1", "--nstuff", "1"])
+counts.append(threads())
+print(*counts)
+"""
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _env_without_blas_threads(**extra) -> dict:
+    """This environment without the BLAS thread variables, plus ``extra``,
+    with the tested package on the path."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES}
+    return {**env, "PYTHONPATH": str(Path(panfuse.__file__).resolve().parents[1]), **extra}
+
+
+@functools.cache
+def _blas_threads(**variables) -> list[int]:
+    proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_PROBE], capture_output=True,
+                          text=True, env=_env_without_blas_threads(**variables), check=True)
+    counts = [int(x) for x in proc.stdout.split()]
+    if counts[0] == 0:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    return counts
+
+
+def test_main_runs_openblas_on_one_thread():
+    assert _blas_threads()[2] == 1
+
+
+def test_importing_panfuse_leaves_openblas_threads_alone():
+    """Only `cli.main` sets the count, so library callers keep their threads."""
+    before, after_import, _ = _blas_threads()
+    assert after_import == before
+
+
+@pytest.mark.parametrize("variable", _BLAS_THREAD_VARIABLES)
+def test_main_keeps_a_thread_count_set_in_the_environment(variable):
+    assert _blas_threads(**{variable: "2"}) == [2, 2, 2]
+
+
+@pytest.mark.parametrize("library", [None, ctypes.CDLL(None)], ids=["no-library", "no-setter"])
+def test_main_without_the_openblas_setter_prints_nothing_extra(monkeypatch, capfd, library):
+    argv = ["costs", "--h", "4", "--w", "4", "--c", "2", "--ndet", "1", "--nstuff", "1"]
+    assert main(argv) == 0
+    expected = capfd.readouterr()
+    lookups = []
+    monkeypatch.setattr(cli, "_openblas", lambda: lookups.append(library) or library)
+    for variable in _BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(variable, raising=False)
+    cli._set_up_process.cache_clear()
+    assert main(argv) == 0
+    assert lookups == [library]
+    assert capfd.readouterr() == expected
+
+
+def test_openblas_thread_count_leaves_run_outputs_unchanged(tmp_path):
+    """OpenBLAS splits a gemm over output rows and columns, never over the
+    summed dimension, so `run` writes the same bytes on one thread or two."""
+    scene = tmp_path / "scene"
+    assert run_cli(*synth_args(scene, extra=[
+        "--with-masks", "--height", "128", "--width", "128", "--instances", "24"])) == 0
+    AffinityParams.init(16, seed=0).save(tmp_path / "checkpoint")
+    outputs = []
+    for extra in [{}, {"OPENBLAS_NUM_THREADS": "2"}]:
+        out = tmp_path / f"pred{len(outputs)}"
+        subprocess.run([sys.executable, "-m", "panfuse.cli", "run", "--scene", str(scene),
+                        "--out", str(out), "--checkpoint", str(tmp_path / "checkpoint"),
+                        "--dump-affinity", "64,64"],
+                       env=_env_without_blas_threads(**extra), capture_output=True, check=True)
+        outputs.append([(out / name).read_bytes() for name in
+                        ("panoptic.panc", "segments.json", "affinity_64_64.panc")])
+    assert outputs[0] == outputs[1]
