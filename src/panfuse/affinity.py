@@ -254,6 +254,8 @@ def estimate_costs(h: int, w: int, d: int, c: int, n_det: int, n_stuff: int,
         if val < 1:
             raise DimensionError(f"{name} must be >= 1, got {val}")
     n = (h // d) * (w // d)
+    if n == 0:
+        raise DimensionError(f"d must be <= h and w, got d={d} on a {h}x{w} grid")
     k = n_det + n_stuff
     counts = {"naive_flops": 2 * n * n * c + 2 * n * n * k, "factored_flops": 4 * c * n * k,
               "affinity_matrix_bytes": n * n * bytes_per_scalar,

@@ -132,11 +132,13 @@ def heuristic_merge(v: np.ndarray, dets: list[Detection], params: MergerParams,
         if original == 0:
             continue
         remaining = mask & ~claimed
-        if remaining.sum() / original < 1.0 - params.overlap_threshold:
+        area = int(remaining.sum())
+        # At overlap_threshold 1 the ratio test keeps a fully covered mask.
+        if area == 0 or area / original < 1.0 - params.overlap_threshold:
             continue
         label[remaining] = len(parts)
         claimed |= remaining
-        parts.append((det.class_id, "thing", int(remaining.sum())))
+        parts.append((det.class_id, "thing", area))
 
     stuff_fill = v[:, :, :catalog.n_stuff].argmax(axis=2)
     areas = np.bincount(stuff_fill[~claimed], minlength=catalog.n_stuff)
@@ -219,10 +221,11 @@ def load_panoptic(path: str | Path) -> PanopticMap:
         kind = value(s, "kind", str, spath, at)
         if kind not in ("thing", "stuff"):
             raise FormatError(f'{spath}: key {at}.kind must be "thing" or "stuff", got {kind!r}')
-        segments.append(Segment(index=index,
-                                class_id=value(s, "class_id", int, spath, at),
-                                kind=kind,
-                                area=value(s, "area", int, spath, at),
+        class_id = value(s, "class_id", int, spath, at)
+        area = value(s, "area", int, spath, at)
+        if area < 1:  # no writer emits a segment without pixels
+            raise FormatError(f"{spath}: key {at}.area must be >= 1, got {area}")
+        segments.append(Segment(index=index, class_id=class_id, kind=kind, area=area,
                                 instance_id=value(s, "instance_id", int, spath, at)))
     gpath = root / "panoptic.panc"
     grid = container.read_tensor(gpath)

@@ -190,8 +190,13 @@ def _truncate_box(box: Box, fraction: float) -> Box:
 
 def _jitter_box(box: Box, sigma: float, width: int, height: int,
                 rng: np.random.Generator) -> Box:
-    """Perturb each corner by rounded Gaussian noise, kept valid in-grid."""
-    d = np.round(rng.normal(0.0, sigma, size=4)).astype(int)
+    """Perturb each corner by rounded Gaussian noise, kept valid in-grid.
+
+    An offset beyond the grid size moves a corner as far as the grid allows,
+    so offsets are clipped to that size before the cast to int.
+    """
+    reach = max(width, height)
+    d = np.clip(np.round(rng.normal(0.0, sigma, size=4)), -reach, reach).astype(int)
     x0 = int(np.clip(box.x0 + d[0], 0, width - 1))
     y0 = int(np.clip(box.y0 + d[1], 0, height - 1))
     x1 = int(np.clip(box.x1 + d[2], x0 + 1, width))
@@ -303,8 +308,12 @@ def synth_scene(cfg: SynthConfig, seed: int) -> tuple[SceneCues, GroundTruthPano
     emb = np.zeros((n_seg, cfg.feature_dim))
     emb[np.arange(n_seg), slots] = 1.0
     features = emb[label].astype(DEFAULT_DTYPE)
-    with np.errstate(over="ignore"):  # a huge noise overflows; validate_scene says where
+    with np.errstate(over="ignore"):  # a huge noise overflows; refused just below
         features += cfg.feature_noise * rng.normal(size=features.shape)
+    pixel = _first_non_finite(features)
+    if pixel is not None:
+        raise GenerationError(f"feature_noise {cfg.feature_noise} makes the features "
+                              f"non-finite at pixel {pixel}")
 
     # Detections from the thing instances.
     detections: list[Detection] = []
@@ -337,122 +346,43 @@ def _disjoint(a: Box, b: Box) -> bool:
     return a.x1 <= b.x0 or b.x1 <= a.x0 or a.y1 <= b.y0 or b.y1 <= a.y0
 
 
-def _non_finite(name: str, t: np.ndarray) -> list[str]:
-    """A violation naming the first pixel of ``t`` (h, w, c) with a NaN or inf."""
+def _first_non_finite(t: np.ndarray) -> tuple[int, int] | None:
+    """The first pixel of ``t`` (h, w, c) with a NaN or inf, or None."""
     with np.errstate(over="ignore", invalid="ignore"):
         if np.isfinite(t.sum()):  # any NaN or inf makes the sum non-finite
-            return []
+            return None
     bad = ~np.isfinite(t).all(axis=2)
-    if not bad.any():
-        return []
-    y, x = np.argwhere(bad)[0]
-    return [f"{name}: non-finite value at pixel ({y}, {x})"]
+    return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
 
 
-def _normalization_violations(name: str, v: np.ndarray) -> list[str]:
-    """A violation naming the first pixel whose probabilities in ``v`` do not sum to 1."""
+def _check_finite(name: Path, t: np.ndarray) -> None:
+    """Raise at the first pixel of ``t`` (h, w, c) with a NaN or inf."""
+    pixel = _first_non_finite(t)
+    if pixel is not None:
+        raise FormatError(f"{name}: non-finite value at pixel {pixel}")
+
+
+def _check_normalized(name: Path, v: np.ndarray) -> None:
+    """Raise at the first pixel whose probabilities in ``v`` do not sum to 1."""
     sums = np.einsum("ijk->ij", v)  # 3-5x faster than v.sum(axis=2) over few channels
     bad = np.abs(sums - 1.0) > 1e-6
-    if not bad.any():
-        return []
-    y, x = np.argwhere(bad)[0]
-    return [f"{name}: normalization violated at pixel ({y}, {x}), sum {sums[y, x]:.6g}"]
+    if bad.any():
+        y, x = np.argwhere(bad)[0]
+        raise FormatError(f"{name}: normalization violated at pixel ({y}, {x}), "
+                          f"sum {sums[y, x]:.6g}")
 
 
-def _mask_violations(name: str, mask: np.ndarray, b: Box) -> list[str]:
-    """Violations of a detection mask: values outside [0, 1] or outside its box ``b``."""
+def _check_mask(name: Path, mask: np.ndarray, b: Box) -> None:
+    """Raise if a detection mask is non-finite, has values outside [0, 1] or
+    is nonzero outside its box ``b``, in that order."""
+    _check_finite(name, mask[..., None])
     inside = mask[b.y0:b.y1, b.x0:b.x1]
     outside = np.count_nonzero(mask) != np.count_nonzero(inside)
     values = mask if outside else inside  # zeros outside the box are within [0, 1]
-    violations = []
     if values.min() < 0.0 or values.max() > 1.0:
-        violations.append(f"{name}: values outside [0, 1]")
+        raise FormatError(f"{name}: values outside [0, 1]")
     if outside:
-        violations.append(f"{name}: nonzero outside its box")
-    return violations
-
-
-def _detection_violations(det: Detection, catalog: ClassCatalog,
-                          h: int, w: int) -> list[str]:
-    """Violations of a detection's box, score and class on an ``h`` x ``w`` grid.
-
-    Each message starts with the key it names (``.box``, ``.score``,
-    ``.class_id``), for the caller to prefix with the detection. Stuff
-    pseudo-detections are added by the pipeline, so a scene's detections
-    are things only. ``Box`` itself refuses a box without area.
-    """
-    b = det.box
-    violations = []
-    if not b.inside(w, h):
-        violations.append(f".box: {b.as_tuple()} exceeds {w}x{h} grid")
-    if not (0.0 <= det.score <= 1.0):
-        violations.append(f".score: {det.score} outside [0, 1]")
-    if not (0 <= det.class_id < catalog.n_classes):
-        violations.append(f".class_id: {det.class_id} out of range")
-    elif not catalog.is_thing(det.class_id):
-        violations.append(f".class_id: {det.class_id} is not a thing class")
-    return violations
-
-
-def _shape_violations(catalog: ClassCatalog, grid: tuple, v, features, masks,
-                      names: list) -> list[str]:
-    """Violations of the cue shapes on the ``grid`` (height, width) and of
-    the cue dtypes, which must be float32 or float64.
-
-    Only ``.shape`` and ``.dtype`` are read, so the cues may be arrays or
-    ``container.TensorHeader``s. ``names`` holds the display names of ``v``,
-    ``features`` and each mask; a None mask is absent.
-    """
-    c = features.shape[2] if len(features.shape) == 3 else "c"  # features take any width
-    rules = [(v, grid + (catalog.n_classes,)), (features, grid + (c,))]
-    rules += [(mask, grid) for mask in masks]
-    violations = []
-    for (t, expected), name in zip(rules, names):
-        if t is None:
-            continue
-        if t.shape != expected:
-            violations.append(f"{name}: shape {t.shape}, expected "
-                              f"({', '.join(map(str, expected))})")
-        if t.dtype not in FLOAT_DTYPES:
-            violations.append(f"{name}: dtype {t.dtype}, expected float32 or float64")
-    return violations
-
-
-def _value_violations(v: np.ndarray, features: np.ndarray, detections: list[Detection],
-                      masks: list, names: list) -> list[str]:
-    """Violations of the cue values, for cues whose shapes are right.
-
-    ``names`` is as for ``_shape_violations``; ``masks[i]`` belongs to
-    ``detections[i]``.
-    """
-    violations = _non_finite(names[0], v) + _normalization_violations(names[0], v)
-    violations += _non_finite(names[1], features)
-    for det, mask, name in zip(detections, masks, names[2:]):
-        if mask is not None:
-            violations += _non_finite(name, mask[..., None])
-            violations += _mask_violations(name, mask, det.box)
-    return violations
-
-
-def validate_scene(scene: SceneCues) -> list[str]:
-    """Check scene invariants; returns one message per violation.
-
-    Values are checked only when every shape and dtype is right.
-    """
-    grid = scene.semantic_probs.shape[:2]
-    masks = [det.mask for det in scene.detections]
-    names = ["semantic_probs", "features",
-             *(f"detections[{i}].mask" for i in range(len(masks)))]
-    shape_violations = _shape_violations(scene.catalog, grid, scene.semantic_probs,
-                                         scene.features, masks, names)
-    if len(grid) < 2:  # no grid to place the detections on
-        return shape_violations
-    violations = [f"detections[{i}]{v}" for i, det in enumerate(scene.detections)
-                  for v in _detection_violations(det, scene.catalog, *grid)]
-    if shape_violations:
-        return shape_violations + violations
-    return violations + _value_violations(scene.semantic_probs, scene.features,
-                                          scene.detections, masks, names)
+        raise FormatError(f"{name}: nonzero outside its box")
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +465,19 @@ def _box(node: dict, source: Path, at: str) -> Box:
         raise FormatError(f"{source}: key {at}.box: {e}") from None
 
 
+def _check_box(box: Box, shape: tuple[int, int], source: Path, at: str) -> None:
+    """Raise unless ``box`` lies on the grid of ``shape`` (height, width)."""
+    if not box.inside(shape[1], shape[0]):
+        raise FormatError(f"{source}: key {at}.box: {box.as_tuple()} exceeds "
+                          f"{shape[1]}x{shape[0]} grid")
+
+
+def _check_class(class_id: int, catalog: ClassCatalog, source: Path, at: str) -> None:
+    """Raise unless ``class_id`` is in ``catalog``."""
+    if not (0 <= class_id < catalog.n_classes):
+        raise FormatError(f"{source}: key {at}.class_id: {class_id} out of range")
+
+
 def _read_manifest(path: str | Path) -> _SceneManifest:
     """Parse and check ``manifest.json``; shared by both scene loaders."""
     root = Path(path)
@@ -569,8 +512,12 @@ def _read_manifest(path: str | Path) -> _SceneManifest:
         det = Detection(box=_box(rec, mpath, at),
                         score=value(rec, "score", float, mpath, at),
                         class_id=value(rec, "class_id", int, mpath, at))
-        for violation in _detection_violations(det, catalog, *shape):
-            raise FormatError(f"{mpath}: key {at}{violation}")
+        _check_box(det.box, shape, mpath, at)
+        if not (0.0 <= det.score <= 1.0):
+            raise FormatError(f"{mpath}: key {at}.score: {det.score} outside [0, 1]")
+        _check_class(det.class_id, catalog, mpath, at)
+        if not catalog.is_thing(det.class_id):  # the pipeline adds the stuff pseudo-detections
+            raise FormatError(f"{mpath}: key {at}.class_id: {det.class_id} is not a thing class")
         detections.append(det)
     if any(cue_files[2:]) and None in cue_files[2:]:  # build_potential needs all or none
         raise FormatError(f"{mpath}: key detections[{cue_files.index(None) - 2}].mask is "
@@ -585,26 +532,32 @@ def _read_manifest(path: str | Path) -> _SceneManifest:
             if index != i:  # the label grid indexes the segment list directly
                 raise FormatError(f"{mpath}: key {at}.index must be {i}, got {index}")
             class_id = value(s, "class_id", int, mpath, at)
-            if not (0 <= class_id < catalog.n_classes):
-                raise FormatError(f"{mpath}: key {at}.class_id: {class_id} out of range")
+            _check_class(class_id, catalog, mpath, at)
             box = _box(s, mpath, at)
-            if not box.inside(shape[1], shape[0]):  # the detection boxes' rule
-                raise FormatError(f"{mpath}: key {at}.box: {box.as_tuple()} exceeds "
-                                  f"{shape[1]}x{shape[0]} grid")
+            _check_box(box, shape, mpath, at)
             gt_segments.append(GtSegment(index, class_id, box, value(s, "area", int, mpath, at)))
     return _SceneManifest(root=root, catalog=catalog, shape=shape, cue_files=cue_files,
                           detections=detections, gt_labels=gt_labels, gt_segments=gt_segments)
 
 
 def _read_cues(m: _SceneManifest, read) -> tuple:
-    """Semantic probabilities, features and masks, checked against the manifest.
+    """Semantic probabilities, features and masks, with the shapes the manifest
+    gives them and dtype float32 or float64; a None mask is absent.
 
     ``read`` is ``container.read_tensor``, or ``container.read_header`` to
-    make the same checks without reading any payload.
+    make the same checks without reading any payload: only ``.shape`` and
+    ``.dtype`` are checked here.
     """
-    v, features, *masks = [read(f) if f else None for f in m.cue_files]
-    for violation in _shape_violations(m.catalog, m.shape, v, features, masks, m.cue_files):
-        raise FormatError(violation)
+    v, features, *masks = cues = [read(f) if f else None for f in m.cue_files]
+    c = features.shape[2] if len(features.shape) == 3 else "c"  # features take any width
+    expected = [m.shape + (m.catalog.n_classes,), m.shape + (c,)] + [m.shape] * len(masks)
+    for t, shape, name in zip(cues, expected, m.cue_files):
+        if t is None:
+            continue
+        if t.shape != shape:
+            raise FormatError(f"{name}: shape {t.shape}, expected ({', '.join(map(str, shape))})")
+        if t.dtype not in FLOAT_DTYPES:
+            raise FormatError(f"{name}: dtype {t.dtype}, expected float32 or float64")
     return v, features, masks
 
 
@@ -652,16 +605,19 @@ def _read_ground_truth(m: _SceneManifest) -> GroundTruthPanoptic | None:
 def load_scene(path: str | Path) -> tuple[SceneCues, GroundTruthPanoptic | None]:
     """Read a scene directory; save -> load round-trips bit-exactly.
 
-    Cues that ``validate_scene`` would reject are rejected here, naming the
-    tensor file: wrong shapes or dtypes, non-finite values (at the first bad pixel),
-    semantic probabilities that do not sum to 1, and masks with values
-    outside [0, 1] or outside their box.
+    Bad cues are refused at the first fault, naming the tensor file: wrong
+    shapes or dtypes, non-finite values (at the first bad pixel), semantic
+    probabilities that do not sum to 1, and masks with values outside [0, 1]
+    or outside their box.
     """
     m = _read_manifest(path)
     v, features, masks = _read_cues(m, container.read_tensor)
-    for violation in _value_violations(v, features, m.detections, masks, m.cue_files):
-        raise FormatError(violation)
-    for det, mask in zip(m.detections, masks):
+    _check_finite(m.cue_files[0], v)
+    _check_normalized(m.cue_files[0], v)
+    _check_finite(m.cue_files[1], features)
+    for det, mask, name in zip(m.detections, masks, m.cue_files[2:]):
+        if mask is not None:
+            _check_mask(name, mask, det.box)
         det.mask = mask
     scene = SceneCues(catalog=m.catalog, semantic_probs=v,
                       detections=m.detections, features=features)

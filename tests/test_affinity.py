@@ -217,6 +217,12 @@ def test_costs_hand_case():
     assert report.affinity_matrix_bytes == 2048
 
 
+@pytest.mark.parametrize("h, w", [(10, 10), (40, 19), (19, 40)])
+def test_costs_refuse_a_stride_that_leaves_no_pixel(h, w):
+    with pytest.raises(DimensionError, match=f"got d=20 on a {h}x{w} grid"):
+        estimate_costs(h, w, 20, 1, 1, 1, 4)
+
+
 def test_costs_full_scale_memory():
     report = estimate_costs(800, 1300, 4, 128, 100, 53, 4)
     assert report.affinity_matrix_bytes == 65000**2 * 4

@@ -25,7 +25,8 @@ from panfuse.inference import load_panoptic, panoptic_from_ground_truth, save_pa
 from panfuse.metrics import class_pixel_counts, mean_iou
 from panfuse.numerics import VOID
 from panfuse.potential import Variant
-from panfuse.scene import SynthConfig, load_scene, save_scene
+from panfuse.scene import (Box, ClassCatalog, Detection, GroundTruthPanoptic, GtSegment, SceneCues,
+                           SynthConfig, load_scene, save_scene)
 from panfuse.train import PRESETS, TrainConfig, make_eval_pool, predict_panoptic, preset_configs
 
 
@@ -326,7 +327,7 @@ def test_run_on_non_finite_scene_exits_3_without_output(tmp_path, capsys):
     huge = tmp_path / "huge"
     assert run_cli(*synth_args(huge, extra=["--feature-noise", "1e308"])) == 3
     assert capsys.readouterr().err.startswith(
-        "error: generated scene failed validation: features: non-finite value at pixel")
+        "error: feature_noise 1e+308 makes the features non-finite at pixel (")
     assert not huge.exists()
     scene_dir = tmp_path / "scene"
     assert run_cli(*synth_args(scene_dir, seed=1)) == 0
@@ -338,6 +339,87 @@ def test_run_on_non_finite_scene_exits_3_without_output(tmp_path, capsys):
     assert run_cli("run", "--scene", str(scene_dir), "--out", str(out)) == 3
     assert f"{path}: non-finite value at pixel (0, 0)" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _duplicate_masks_scene(root):
+    """A 4x4 scene whose two detections share one 2x2 mask, with its ground truth."""
+    v = np.zeros((4, 4, 2))
+    v[..., 0] = 1.0
+    mask = np.zeros((4, 4))
+    mask[:2, :2] = 1.0
+    dets = [Detection(Box(0, 0, 2, 2), score, 1, mask=mask) for score in (0.9, 0.8)]
+    label = np.zeros((4, 4), dtype=np.int32)
+    label[:2, :2] = 1
+    gt = GroundTruthPanoptic(label, [GtSegment(0, 0, Box(0, 0, 4, 4), 12),
+                                     GtSegment(1, 1, Box(0, 0, 2, 2), 4)])
+    save_scene(SceneCues(ClassCatalog(1, 1), v, dets, np.zeros((4, 4, 1))), root, gt=gt)
+
+
+def _with_empty_segment(pred):
+    """Append to ``pred``'s sidecar a thing segment of area 0, as a merger that
+    kept the fully covered second instance would write it."""
+    spath = pred / "segments.json"
+    sidecar = json.loads(spath.read_text())
+    sidecar["segments"].append({"index": 2, "class_id": 1, "kind": "thing", "area": 0,
+                                "instance_id": 2, "encoded_id": 1002})
+    spath.write_text(json.dumps(sidecar))
+
+
+_TRAIN_SMALL = ["--steps", "2", "--scenes", "2", "--eval-scenes", "1"]
+_MERGE_ALL = ["--mode", "heuristic", "--merger-overlap", "1", "--merger-stuff-area", "0"]
+_NON_FINITE_FEATURES = "feature_noise 1e+308 makes the features non-finite at pixel ("
+
+
+# Extreme or damaged inputs: the command, its exit code and what its one
+# error line says (None for success, which prints nothing on stderr).
+@pytest.mark.parametrize("argv, code, message", [
+    (["synth", "--out", "{out}", "--feature-noise", "1e308"], 3, _NON_FINITE_FEATURES),
+    (["train", "--out", "{out}", "--feature-noise", "1e308", *_TRAIN_SMALL], 3,
+     _NON_FINITE_FEATURES),
+    (["train", "--out", "{out}", "--feature-noise", "1e308", "--no-affinity", *_TRAIN_SMALL], 3,
+     _NON_FINITE_FEATURES),
+    (["synth", "--out", "{out}", "--jitter", "1e300", "--with-masks"], 0, None),
+    (["train", "--out", "{out}", "--jitter", "1e300", *_TRAIN_SMALL], 0, None),
+    (["costs", "--h", "10", "--w", "10", "--d", "20", "--c", "1", "--ndet", "1",
+      "--nstuff", "1"], 2, "--d 20 exceeds --h 10 or --w 10, so the downsampled grid has no pixel"),
+    (["run", "--scene", "{scene}", "--out", "{out}", *_MERGE_ALL], 0, None),
+    (["eval", "--scene", "{scene}", "--pred", "{pred}", "--json", "{out}"], 3,
+     "{pred}/segments.json: key segments[2].area must be >= 1, got 0"),
+], ids=["synth-feature-noise", "train-feature-noise", "train-no-affinity-feature-noise",
+        "synth-jitter", "train-jitter", "costs-stride", "run-merger-overlap-1", "eval-area-0"])
+@pytest.mark.filterwarnings("error")
+def test_bad_inputs_exit_with_their_code_and_one_error_line(tmp_path, capsys, argv, code,
+                                                            message):
+    paths = {"scene": tmp_path / "scene", "pred": tmp_path / "pred", "out": tmp_path / "out"}
+    _duplicate_masks_scene(paths["scene"])
+    assert run_cli("run", "--scene", str(paths["scene"]), "--out", str(paths["pred"]),
+                   *_MERGE_ALL) == 0
+    _with_empty_segment(paths["pred"])
+    capsys.readouterr()
+    assert run_cli(*(a.format(**paths) for a in argv)) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if message is None:
+        assert err == ""
+        assert "{out}" not in argv or paths["out"].exists()
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert message.format(**paths) in lines[0]
+        assert not paths["out"].exists()
+
+
+def test_merger_at_overlap_1_writes_no_empty_segment(tmp_path, capsys):
+    _duplicate_masks_scene(tmp_path / "scene")
+    assert run_cli("run", "--scene", str(tmp_path / "scene"), "--out", str(tmp_path / "pred"),
+                   *_MERGE_ALL) == 0
+    assert [(s.kind, s.area, s.instance_id) for s in load_panoptic(tmp_path / "pred").segments] \
+        == [("thing", 4, 1), ("stuff", 12, 0)]
+    capsys.readouterr()
+    assert run_cli("eval", "--scene", str(tmp_path / "scene"), "--pred", str(tmp_path / "pred"),
+                   "--porcelain") == 0
+    pq = json.loads(capsys.readouterr().out.splitlines()[0])["pq"]
+    assert pq["per_class"]["1"]["fp"] == 0 and pq["aggregates"]["all"]["pq"] == 1.0
 
 
 @pytest.mark.parametrize("name, damage, message", [

@@ -148,6 +148,19 @@ def test_merge_skips_low_scores_and_empty_masks():
         assert both.segments == kept.segments
 
 
+@pytest.mark.parametrize("overlap", [0.5, 0.99, 1.0])
+def test_merge_skips_an_instance_with_no_pixels_left(overlap):
+    """A mask the higher-scored instance covers entirely gives no segment, up
+    to an overlap threshold of 1, where the ratio test would let it through."""
+    catalog, v, det = merge_fixture()
+    params = MergerParams(overlap_threshold=overlap, stuff_area_threshold=0)
+    covered = Detection(det.box, 0.8, det.class_id, mask=det.mask)
+    kept = heuristic_merge(v, [det], params, catalog)
+    both = heuristic_merge(v, [det, covered], params, catalog)
+    assert np.array_equal(both.label_map, kept.label_map)
+    assert both.segments == kept.segments
+
+
 def test_merge_requires_masks():
     catalog, v, det = merge_fixture()
     bare = Detection(det.box, det.score, det.class_id, mask=None)

@@ -1,9 +1,12 @@
 import json
 import struct
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, reject
+from hypothesis import strategies as st
 
 from panfuse.container import TensorHeader, read_header, read_tensor, write_tensor
 from panfuse.errors import FormatError, GenerationError
@@ -14,13 +17,13 @@ from panfuse.potential import append_stuff_boxes
 from panfuse.scene import (
     Box,
     GroundTruthPanoptic,
+    SceneCues,
     SynthConfig,
     load_scene,
     load_scene_records,
     save_scene,
     synth_scene,
     tight_box,
-    validate_scene,
 )
 
 
@@ -53,7 +56,6 @@ def test_synth_deterministic():
 def test_synth_valid_and_fully_labeled():
     for seed in range(5):
         scene, gt = synth_scene(SynthConfig(with_masks=True), seed=seed)
-        assert validate_scene(scene) == []
         assert gt.label_map.min() >= 0  # generator never emits IGNORE
         indices = {s.index for s in gt.segments}
         assert set(np.unique(gt.label_map)) == indices
@@ -135,7 +137,6 @@ def test_synth_scene_rejects_negative_seed():
 def test_masks_confined_to_box_and_instance():
     cfg = SynthConfig(with_masks=True, box_truncation=0.3)
     scene, gt = synth_scene(cfg, seed=4)
-    assert validate_scene(scene) == []
     for det in scene.detections:
         assert det.mask is not None
         b = det.box
@@ -144,69 +145,138 @@ def test_masks_confined_to_box_and_instance():
         assert not outside.any()
 
 
-def test_validate_reports_bad_normalization():
+def _load_errors(root, scene: SceneCues, loaders=(load_scene,)) -> str:
+    """The one FormatError each loader raises for ``scene`` saved to ``root``;
+    the loaders must agree."""
+    save_scene(scene, root)
+    messages = set()
+    for loader in loaders:
+        with pytest.raises(FormatError) as exc:
+            loader(root)
+        messages.add(str(exc.value))
+    assert len(messages) == 1
+    return messages.pop()
+
+
+def test_validate_reports_bad_normalization(tmp_path):
     scene, _ = synth_scene(SynthConfig(), seed=0)
     scene.semantic_probs[3, 3] *= 0.8
-    violations = validate_scene(scene)
-    assert len(violations) == 1
-    assert "normalization" in violations[0]
+    assert _load_errors(tmp_path, scene) == \
+        f"{tmp_path / 'semantic_probs.panc'}: normalization violated at pixel (3, 3), sum 0.8"
 
 
 @pytest.mark.parametrize("array", ["semantic_probs", "features", "mask"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_validate_reports_non_finite(array, value):
+def test_validate_reports_non_finite(tmp_path, array, value):
     scene, _ = synth_scene(SynthConfig(with_masks=array == "mask"), seed=1)
     if array == "mask":  # a value inside the box, where masks may be nonzero
         b = scene.detections[1].box
         scene.detections[1].mask[b.y0 + 1, b.x0] = value
-        message = f"detections[1].mask: non-finite value at pixel ({b.y0 + 1}, {b.x0})"
-        assert message in validate_scene(scene)
+        assert _load_errors(tmp_path, scene) == \
+            f"{tmp_path / 'mask_001.panc'}: non-finite value at pixel ({b.y0 + 1}, {b.x0})"
         return
     getattr(scene, array)[2, 5, 1] = value
     getattr(scene, array)[7, 0, 0] = value
-    violations = validate_scene(scene)
-    assert f"{array}: non-finite value at pixel (2, 5)" in violations
+    assert _load_errors(tmp_path, scene) == \
+        f"{tmp_path / array}.panc: non-finite value at pixel (2, 5)"
 
 
 @pytest.mark.parametrize("array, shape, message", [
-    ("semantic_probs", (32, 32, 5), "semantic_probs: shape (32, 32, 5), expected (32, 32, 6)"),
-    ("features", (16, 32, 16), "features: shape (16, 32, 16), expected (32, 32, 16)"),
-    ("features", (32, 32), "features: shape (32, 32), expected (32, 32, c)"),
-    ("mask", (16, 16), "detections[1].mask: shape (16, 16), expected (32, 32)"),
+    ("semantic_probs", (32, 32, 5), "semantic_probs.panc: shape (32, 32, 5), expected (32, 32, 6)"),
+    ("features", (16, 32, 16), "features.panc: shape (16, 32, 16), expected (32, 32, 16)"),
+    ("features", (32, 32), "features.panc: shape (32, 32), expected (32, 32, c)"),
+    ("mask", (16, 16), "mask_001.panc: shape (16, 16), expected (32, 32)"),
 ], ids=["probs-channels", "features-grid", "features-rank", "mask-grid"])
-def test_validate_reports_shapes_and_then_skips_values(array, shape, message):
+def test_validate_reports_shapes_and_then_skips_values(tmp_path, array, shape, message):
     scene, _ = synth_scene(SynthConfig(with_masks=True), seed=1)
-    scene.semantic_probs[0, 0, 0] = np.nan  # not reported while a shape is wrong
+    scene.features[0, 0, 0] = np.nan  # not reported while a shape is wrong
     if array == "mask":
         scene.detections[1].mask = np.zeros(shape)
     else:
         setattr(scene, array, np.zeros(shape))
-    assert validate_scene(scene) == [message]
+    assert _load_errors(tmp_path, scene, (load_scene, load_scene_records)) == \
+        f"{tmp_path}/{message}"
 
 
-@pytest.mark.parametrize("shape, probs, features", [
-    ((32,), "(32, 6)", "(32, 16)"), ((), "(6)", "(16)"),
+@pytest.mark.parametrize("shape, message", [
+    ((32,), "shape (32,), expected (32, 32, 6)"), ((), "shape (), expected (32, 32, 6)"),
 ], ids=["rank-1", "rank-0"])
-def test_validate_reports_probabilities_without_a_grid_and_skips_the_boxes(shape, probs,
-                                                                           features):
-    scene, _ = synth_scene(SynthConfig(), seed=1)
-    scene.semantic_probs = np.zeros(shape)
-    assert validate_scene(scene) == [
-        f"semantic_probs: shape {shape}, expected {probs}",
-        f"features: shape (32, 32, 16), expected {features}"]
+def test_validate_reports_probabilities_without_a_grid_and_skips_the_boxes(saved_scene, shape,
+                                                                           message):
+    path = saved_scene / "semantic_probs.panc"
+    write_tensor(path, np.zeros(shape))
+    for loader in (load_scene, load_scene_records):
+        with pytest.raises(FormatError) as exc:
+            loader(saved_scene)
+        assert str(exc.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize("array", ["semantic_probs", "features", "mask"])
-def test_validate_reports_cues_that_are_not_float(array):
+def test_validate_reports_cues_that_are_not_float(tmp_path, array):
     scene, _ = synth_scene(SynthConfig(with_masks=True), seed=1)
     if array == "mask":
         scene.detections[1].mask = scene.detections[1].mask.astype(np.uint32)
-        name = "detections[1].mask"
+        name = "mask_001"
     else:
-        setattr(scene, array, getattr(scene, array).astype(np.int64))
+        setattr(scene, array, getattr(scene, array).astype(np.uint32))
         name = array
-    dtype = "uint32" if array == "mask" else "int64"
-    assert validate_scene(scene) == [f"{name}: dtype {dtype}, expected float32 or float64"]
+    assert _load_errors(tmp_path, scene, (load_scene, load_scene_records)) == \
+        f"{tmp_path / name}.panc: dtype uint32, expected float32 or float64"
+
+
+@st.composite
+def synth_configs(draw):
+    """Generator knobs over sizes, instances, masks and every kind of cue noise."""
+    height, width = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    instance_max = draw(st.integers(1, min(height, width, 16)))
+    return SynthConfig(
+        height=height, width=width,
+        n_stuff=draw(st.integers(1, 4)), n_thing=draw(st.integers(1, 4)),
+        n_instances=draw(st.integers(0, 5)), stuff_segments=draw(st.integers(1, 5)),
+        instance_min=draw(st.integers(1, instance_max)), instance_max=instance_max,
+        box_truncation=draw(st.floats(0, 0.95)),
+        box_jitter=draw(st.sampled_from([0.0, 1e300]) | st.floats(0, 1e300) | st.floats(0, 8)),
+        confusion_rate=draw(st.floats(0, 0.95)),
+        feature_noise=draw(st.floats(0, 10)), feature_dim=draw(st.integers(1, 8)),
+        with_masks=draw(st.booleans()), mask_noise=draw(st.floats(0, 1)))
+
+
+@given(cfg=synth_configs(), seed=st.integers(0, 2**32))
+def test_every_generated_scene_loads_back_bit_exact(cfg, seed):
+    """Whatever the generator writes, the loader accepts unchanged."""
+    try:
+        scene, gt = synth_scene(cfg, seed)
+    except GenerationError:  # the instances do not fit on the grid
+        reject()
+    with tempfile.TemporaryDirectory() as tmp:
+        save_scene(scene, tmp, gt=gt, synth=cfg)
+        loaded, loaded_gt = load_scene(tmp)
+    assert scenes_equal(scene, loaded)
+    assert loaded.catalog == scene.catalog
+    assert np.array_equal(gt.label_map, loaded_gt.label_map)
+    assert gt.segments == loaded_gt.segments
+
+
+def test_synth_refuses_features_that_overflow():
+    with pytest.raises(GenerationError) as exc:
+        synth_scene(SynthConfig(feature_noise=1e308), seed=0)
+    assert str(exc.value).startswith(
+        "feature_noise 1e+308 makes the features non-finite at pixel (")
+
+
+@pytest.mark.parametrize("sigma", [3.0, 1e17, 1e300])
+def test_jitter_beyond_the_grid_moves_a_corner_to_its_edge(sigma):
+    """Clipping the offsets to the grid size gives the box of the unclipped offsets."""
+    from panfuse.scene import _jitter_box
+
+    box = Box(3, 4, 9, 12)
+    jittered = _jitter_box(box, sigma, 20, 16, np.random.default_rng(7))
+    d = np.random.default_rng(7).normal(0.0, sigma, size=4)
+    d = np.round(np.clip(d, -2**40, 2**40)).astype(int)  # as wide as any box needs
+    x0 = int(np.clip(box.x0 + d[0], 0, 19))
+    y0 = int(np.clip(box.y0 + d[1], 0, 15))
+    assert jittered == Box(x0, y0, int(np.clip(box.x1 + d[2], x0 + 1, 20)),
+                           int(np.clip(box.y1 + d[3], y0 + 1, 16)))
 
 
 def test_scene_roundtrip_bit_exact(tmp_path):
