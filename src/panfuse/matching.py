@@ -7,6 +7,21 @@ ground-truth stuff segment by class identity. Unmatched ground truth
 becomes IGNORE; surplus detections that lost a ground-truth segment to a
 better match are recorded for duplicate removal during training.
 
+The assignment is solved here, by a numpy port of the rectangular
+shortest-augmenting-path solver (Crouse, "On implementing 2D rectangular
+assignment algorithms", IEEE TAES 2016) that
+``scipy.optimize.linear_sum_assignment`` runs, so no command imports
+scipy. The port returns scipy's pairs exactly, ties included, because a
+tie decides which of two equal detections training drops. The tie rule
+is scipy's: each path step scans the remaining columns, starting from
+the last column and swapping the last remaining one into the place of a
+column it takes; of the columns at the lowest path cost it takes the
+last free one it meets, or else the first one. Each step is one
+vectorized numpy pass over the remaining columns, and an n-by-n problem
+takes at most n(n+1)/2 steps: about 0.3 ms at 6 by 6 and 1 s at 1000 by
+1000 on one 2.1 GHz Xeon core, where scipy's compiled solver takes
+0.004 ms and 0.09 s.
+
 The loss is per-pixel softmax cross-entropy over the (post-removal)
 potential channels, mean-reduced over non-IGNORE pixels, with its exact
 gradient.
@@ -60,6 +75,76 @@ def box_iou(a: Box, b: Box, class_a: int | None = None,
     return inter / (a.area + b.area - inter)
 
 
+def _max_weight_assignment(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of a maximum-total-weight assignment of a finite matrix.
+
+    Step for step ``scipy.optimize.linear_sum_assignment(weight,
+    maximize=True)``: a tall matrix is transposed, then negated, and each
+    row in turn is joined by a shortest augmenting path, so equal totals
+    resolve to the same pairs. Every row is assigned when there are no
+    more rows than columns, every column otherwise; pairs come sorted by
+    row.
+    """
+    if weight.size == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    transpose = weight.shape[1] < weight.shape[0]
+    cost = -(weight.T if transpose else weight)
+    n_rows, n_cols = cost.shape
+    u, v = np.zeros(n_rows), np.zeros(n_cols)
+    path = np.full(n_cols, -1, dtype=np.intp)
+    col4row = np.full(n_rows, -1, dtype=np.intp)
+    row4col = np.full(n_cols, -1, dtype=np.intp)
+    for cur_row in range(n_rows):
+        # Shortest augmenting path from cur_row to a free column.
+        shortest = np.full(n_cols, np.inf)
+        in_path_rows = np.zeros(n_rows, dtype=bool)
+        in_path_cols = np.zeros(n_cols, dtype=bool)
+        # Filled from last to first, so a constant matrix gives the identity.
+        remaining = np.arange(n_cols - 1, -1, -1)
+        n_remaining, min_val, i, sink = n_cols, 0.0, cur_row, -1
+        while sink == -1:
+            in_path_rows[i] = True
+            cols = remaining[:n_remaining]
+            reduced = min_val + cost[i][cols] - u[i] - v[cols]
+            costs = shortest[cols]
+            shorter = reduced < costs
+            path[cols[shorter]] = i
+            costs = np.where(shorter, reduced, costs)
+            shortest[cols] = costs
+            # The lowest cost: of the columns that reach it, the last free
+            # one in scan order, or else the first one.
+            min_val = costs.min()
+            at_min = costs == min_val
+            free_at_min = np.flatnonzero(at_min & (row4col[cols] == -1))
+            index = free_at_min[-1] if free_at_min.size else at_min.argmax()
+            j = cols[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            in_path_cols[j] = True
+            n_remaining -= 1
+            remaining[index] = remaining[n_remaining]
+
+        # Dual updates, then augmentation along the path back to cur_row.
+        u[cur_row] += min_val
+        in_path_rows[cur_row] = False
+        u[in_path_rows] += min_val - shortest[col4row[in_path_rows]]
+        v[in_path_cols] -= min_val - shortest[in_path_cols]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+
+    if transpose:
+        order = np.argsort(col4row)
+        return col4row[order], order
+    return np.arange(n_rows), col4row
+
+
 def match_segments(gt: GroundTruthPanoptic, dets: list[Detection], t: float,
                    catalog: ClassCatalog) -> MatchResult:
     """Optimal class-constrained matching at minimum IoU ``t``.
@@ -68,10 +153,6 @@ def match_segments(gt: GroundTruthPanoptic, dets: list[Detection], t: float,
     entries infeasible. Stuff pseudo-detections pair with the (unique)
     ground-truth stuff segment of their class regardless of IoU.
     """
-    # Imported here: scipy takes most of the import time of the CLI, and
-    # `run` and `eval` without --dump-match never match.
-    from scipy.optimize import linear_sum_assignment
-
     if not (0.0 < t <= 1.0):
         raise PanfuseError(f"match threshold must be in (0, 1], got {t}")
     gt_things = [s for s in gt.segments if catalog.is_thing(s.class_id)]
@@ -90,7 +171,7 @@ def match_segments(gt: GroundTruthPanoptic, dets: list[Detection], t: float,
         # Infeasible entries are clipped to 0: a zero-weight pairing never
         # changes the optimal total, and any chosen sub-threshold pair is
         # discarded below.
-        rows, cols = linear_sum_assignment(np.where(feasible, iou, 0.0), maximize=True)
+        rows, cols = _max_weight_assignment(np.where(feasible, iou, 0.0))
         for gi, dj in zip(rows, cols):
             if feasible[gi, dj]:
                 det_index = det_things[dj][0]

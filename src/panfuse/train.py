@@ -255,8 +255,9 @@ def train_toy(cfg: TrainConfig) -> TrainingReport:
     """Plain gradient descent over the affinity projections.
 
     Scenes are visited round-robin; the loss curve records the pre-update
-    loss of each step's scene. Aborts with the step index if the loss
-    goes non-finite.
+    loss of each step's scene. Raises ``NumericError`` with the step index
+    if the loss goes non-finite; finite but huge features get there through
+    overflow, which the steps make silently.
     """
     cfg.validate()
     pool = make_pool(cfg)
@@ -267,20 +268,21 @@ def train_toy(cfg: TrainConfig) -> TrainingReport:
     # scene's loss is computed once and repeated at every visit.
     fixed_losses = None if cfg.use_affinity else [
         panoptic_matching_loss(b.potential.psi, b.target)[0] for b in pool[:cfg.steps]]
-    for step in range(cfg.steps):
-        if fixed_losses is not None:
-            loss = fixed_losses[step % len(pool)]
-        else:
-            loss, *grads = loss_and_grads(pool[step % len(pool)], params)
-        if not np.isfinite(loss):
-            raise NumericError(f"loss diverged at step {step}")
-        losses.append(loss)
-        if fixed_losses is not None:
-            continue
-        # In place, with the arithmetic of ``w - lr * d``: ``init`` made these
-        # arrays for this run alone.
-        for w, d in zip((params.w0, params.b0, params.w1, params.b1), grads):
-            w -= cfg.learning_rate * d
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.steps):
+            if fixed_losses is not None:
+                loss = fixed_losses[step % len(pool)]
+            else:
+                loss, *grads = loss_and_grads(pool[step % len(pool)], params)
+            if not np.isfinite(loss):
+                raise NumericError(f"loss diverged at step {step}")
+            losses.append(loss)
+            if fixed_losses is not None:
+                continue
+            # In place, with the arithmetic of ``w - lr * d``: ``init`` made these
+            # arrays for this run alone.
+            for w, d in zip((params.w0, params.b0, params.w1, params.b1), grads):
+                w -= cfg.learning_rate * d
     eval_pool = make_eval_pool(cfg)
     trained = params if cfg.use_affinity else None
     final_pq = evaluate_pq(eval_pool, lambda scene: predict_panoptic(scene, trained, cfg.variant))

@@ -380,13 +380,19 @@ _NON_FINITE_FEATURES = "feature_noise 1e+308 makes the features non-finite at pi
      _NON_FINITE_FEATURES),
     (["synth", "--out", "{out}", "--jitter", "1e300", "--with-masks"], 0, None),
     (["train", "--out", "{out}", "--jitter", "1e300", *_TRAIN_SMALL], 0, None),
+    # Finite features whose affinity forward overflows: no numpy warning.
+    (["train", "--out", "{out}", "--feature-noise", "1e150", *_TRAIN_SMALL], 4,
+     "loss diverged at step 1"),
+    (["train", "--out", "{out}", "--feature-noise", "1e200", *_TRAIN_SMALL], 4,
+     "loss diverged at step 0"),
     (["costs", "--h", "10", "--w", "10", "--d", "20", "--c", "1", "--ndet", "1",
       "--nstuff", "1"], 2, "--d 20 exceeds --h 10 or --w 10, so the downsampled grid has no pixel"),
     (["run", "--scene", "{scene}", "--out", "{out}", *_MERGE_ALL], 0, None),
     (["eval", "--scene", "{scene}", "--pred", "{pred}", "--json", "{out}"], 3,
      "{pred}/segments.json: key segments[2].area must be >= 1, got 0"),
 ], ids=["synth-feature-noise", "train-feature-noise", "train-no-affinity-feature-noise",
-        "synth-jitter", "train-jitter", "costs-stride", "run-merger-overlap-1", "eval-area-0"])
+        "synth-jitter", "train-jitter", "train-overflow-1e150", "train-overflow-1e200",
+        "costs-stride", "run-merger-overlap-1", "eval-area-0"])
 @pytest.mark.filterwarnings("error")
 def test_bad_inputs_exit_with_their_code_and_one_error_line(tmp_path, capsys, argv, code,
                                                             message):
@@ -717,15 +723,25 @@ def test_run_on_features_that_overflow_the_affinity_exits_4_without_output(
     assert run_cli("run", "--scene", str(copy), "--out", str(out)) == 0
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """`import panfuse.cli` loads no scipy module; `import panfuse` loads no submodule."""
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    """No scipy module is loaded by `import panfuse.cli`, nor by the commands
+    that match segments (`train`, `run --dump-match`); `import panfuse`
+    loads no submodule."""
     src = Path(panfuse.__file__).resolve().parents[1]
-    for module, prefix in [("panfuse.cli", "scipy"), ("panfuse", "panfuse.")]:
-        code = (f"import sys, {module}; "
+    scene, pred = tmp_path / "scene", tmp_path / "pred"
+    commands = [["train", "--out", str(tmp_path / "train"), *_TRAIN_SMALL],
+                synth_args(scene),
+                ["run", "--scene", str(scene), "--out", str(pred), "--dump-match"]]
+    run_commands = "".join(f"assert main({argv!r}) == 0; " for argv in commands)
+    for code, prefix in [("import panfuse.cli; ", "scipy"),
+                         (f"from panfuse.cli import main; {run_commands}", "scipy"),
+                         ("import panfuse; ", "panfuse.")]:
+        code = (f"import sys; {code}"
                 f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-        assert proc.stdout.strip() == "[]", module
+        assert proc.stdout.splitlines()[-1] == "[]", code
+    assert (pred / "match.json").is_file()
 
 
 def test_run_and_eval_usage_errors_exit_2_before_writing(tmp_path, capsys,

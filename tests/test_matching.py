@@ -2,9 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.optimize import linear_sum_assignment
 
 from panfuse.matching import (
     TargetMap,
+    _max_weight_assignment,
     box_iou,
     build_target_map,
     match_segments,
@@ -187,6 +192,72 @@ def test_matching_optimal_vs_brute_force_200():
         assert np.isclose(total,
                           brute_force_total_iou(segments, dets, 0.5, catalog),
                           atol=1e-12)
+
+
+@st.composite
+def weight_matrices(draw):
+    """Tall, wide and empty matrices up to 8x8: tie-heavy or uniform values,
+    sometimes with one column copied over another."""
+    shape = (draw(st.integers(0, 8)), draw(st.integers(0, 8)))
+    values = draw(st.sampled_from([st.sampled_from([0.0, 0.25, 0.4, 0.5, 1.0]),
+                                   st.floats(0.0, 1.0)]))
+    weight = draw(hnp.arrays(np.float64, shape, elements=values))
+    if shape[1] > 1 and draw(st.booleans()):
+        source, target = draw(st.lists(st.integers(0, shape[1] - 1), min_size=2, max_size=2))
+        weight[:, target] = weight[:, source]
+    return weight
+
+
+@settings(max_examples=500)
+@given(weight_matrices())
+@example(np.zeros((3, 5)))
+@example(np.ones((5, 3)))
+def test_assignment_equals_scipy(weight):
+    rows, cols = _max_weight_assignment(weight)
+    want_rows, want_cols = linear_sum_assignment(weight, maximize=True)
+    assert rows.tolist() == want_rows.tolist()
+    assert cols.tolist() == want_cols.tolist()
+
+
+_SAME_BOX = Detection(Box(0, 0, 8, 7), 0.9, 1)
+_STRADDLE = Box(4, 0, 12, 8)  # IoU 1/3 with each of the two boxes below
+_LEFT, _RIGHT, _LOW = Box(0, 0, 8, 8), Box(8, 0, 16, 8), Box(0, 8, 8, 16)
+_BOTTOM = Box(0, 8, 16, 16)  # the stuff segment
+
+
+# Expected (gt, detection, IoU) pairs, unmatched ground truth and removed
+# duplicates, as scipy's assignment gave them.
+@pytest.mark.parametrize("segments, things, with_stuff, t, pairs, unmatched, removed", [
+    # Equal detections over one thing, behind the stuff pseudo-detection:
+    # the first is paired, the later ones removed.
+    ([(0, _BOTTOM), (1, _LEFT)], [_SAME_BOX, _SAME_BOX], True, 0.5,
+     [(1, 1, 0.875), (0, 0, 0.5)], [], [2]),
+    ([(0, _BOTTOM), (1, _LEFT)], [_SAME_BOX] * 3, True, 0.5,
+     [(1, 1, 0.875), (0, 0, 0.5)], [], [2, 3]),
+    # More detections than things; the third repeats the first's box.
+    ([(1, _LEFT), (1, _RIGHT)],
+     [Detection(_LEFT, 0.9, 1), Detection(_RIGHT, 0.8, 1), Detection(_LEFT, 0.7, 1)], False, 0.5,
+     [(0, 0, 1.0), (1, 1, 1.0)], [], [2]),
+    # More things than detections; a detection straddles two things equally.
+    ([(1, _LEFT), (1, _RIGHT), (2, _LOW)],
+     [Detection(_STRADDLE, 0.9, 1), Detection(_LOW, 0.8, 2)], False, 0.3,
+     [(0, 0, 1 / 3), (2, 1, 1.0)], [1], []),
+    ([(1, _LEFT), (1, _RIGHT), (1, _LOW)],
+     [Detection(_STRADDLE, 0.9, 1), Detection(_STRADDLE, 0.8, 1)], False, 0.3,
+     [(0, 0, 1 / 3), (1, 1, 1 / 3)], [2], []),
+    # Every thing IoU below the threshold: only stuff pairs, nothing removed.
+    ([(0, _BOTTOM), (1, _LEFT), (2, _RIGHT)],
+     [Detection(_STRADDLE, 0.9, 1), Detection(_STRADDLE, 0.8, 2), Detection(_LEFT, 0.7, 2)],
+     True, 0.5, [(0, 0, 0.5)], [1, 2], []),
+], ids=["two-equal-detections", "three-equal-detections", "more-detections",
+        "more-things", "more-things-two-ties", "all-below-threshold"])
+def test_match_segments_tie_cases(segments, things, with_stuff, t, pairs, unmatched, removed):
+    catalog = ClassCatalog(n_stuff=1, n_thing=2)
+    dets = append_stuff_boxes(things, catalog, 16, 16) if with_stuff else things
+    match = match_segments(make_gt(segments), dets, t, catalog)
+    assert [(p.gt_index, p.detection_index, p.iou) for p in match.pairs] == pairs
+    assert match.unmatched_gt == unmatched
+    assert match.removed_duplicates == removed
 
 
 def test_matching_order_invariant_when_unique():
