@@ -79,7 +79,8 @@ class AffinityParams:
             "activation": "rectifier",
             "tensors": {n: f"{n}.panc" for n in ("w0", "b0", "w1", "b1")},
         }
-        (root / "params.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        container.write_file(root / "params.json",
+                             json.dumps(manifest, indent=2, sort_keys=True))
 
     @classmethod
     def load(cls, path: str | Path) -> "AffinityParams":

@@ -207,7 +207,8 @@ def _run_one(args: argparse.Namespace, scene_path: str, out_path: str,
                                   scene.height, scene.width)
         match = match_segments(gt, dets, args.match_threshold, scene.catalog)
         match_path = Path(out_path) / "match.json"
-        match_path.write_text(json.dumps(match.to_json_dict(), indent=2, sort_keys=True))
+        container.write_file(match_path, json.dumps(match.to_json_dict(), indent=2,
+                                                    sort_keys=True))
         summary["match"] = str(match_path)
     if args.dump_affinity:
         q0, q1 = project_features(scene.features, params)
@@ -221,6 +222,13 @@ def _run_one(args: argparse.Namespace, scene_path: str, out_path: str,
 def cmd_run(args: argparse.Namespace) -> int:
     if len(args.scene) != len(args.out):
         raise UsageError(f"got {len(args.scene)} --scene but {len(args.out)} --out")
+    seen = {}  # by string alone: no file-system call per scene
+    for out in args.out:
+        key = os.path.normpath(os.path.abspath(out))
+        if key in seen:
+            raise UsageError(f"--out {seen[key]} and --out {out} name the same directory, "
+                             f"so one scene's output would replace the other's")
+        seen[key] = out
     if args.dump_affinity and not args.checkpoint:
         raise UsageError("--dump-affinity needs --checkpoint")
     params = AffinityParams.load(args.checkpoint) if args.checkpoint else None
@@ -253,8 +261,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     report = train_toy(_config(TrainConfig, args, _TRAIN_FLAGS, scene=scene))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+    container.write_file(out / "report.json",
+                         json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     report.params.save(out / "checkpoint")
     print(json.dumps({
         "out": str(out),
@@ -317,7 +325,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "scenes": len(aps),
     }
     if args.json:
-        Path(args.json).write_text(json.dumps(payload, indent=2, sort_keys=True))
+        container.write_file(args.json, json.dumps(payload, indent=2, sort_keys=True))
     print(json.dumps(payload) if args.porcelain else report.render_table(catalog))
     print(f"mean IoU: {payload['mean_iou']:.4f}   box AP: {payload['box_ap']:.4f}")
     return EXIT_OK
@@ -344,12 +352,15 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     rows = ablate(configs, labels)
     payload = [r.to_json_dict() for r in rows]
     if args.json:
-        Path(args.json).write_text(json.dumps(payload, indent=2, sort_keys=True))
+        container.write_file(args.json, json.dumps(payload, indent=2, sort_keys=True))
     print(render_ablation_table(rows))
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs 2-3 ms, and each
+    parse fills a new namespace, so no call sees another's values."""
     parser = argparse.ArgumentParser(
         prog="panfuse",
         description="Panoptic segment fusion pipeline at desk scale",
@@ -360,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_count, default=0)
     _add_field_flags(p, SynthConfig, _SYNTH_FLAGS)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("run", help="run the fusion pipeline on scenes")
     p.add_argument("--scene", action="append", required=True)
@@ -375,13 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_flags(p, MergerParams, _MERGER_FLAGS)
     p.add_argument("--dump-match", action="store_true")
     p.add_argument("--dump-affinity", type=_pixel, default=None, metavar="ROW,COL")
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("train", help="train the affinity head on synthetic scenes")
     p.add_argument("--out", required=True)
     _add_field_flags(p, TrainConfig, _TRAIN_FLAGS)
     _add_field_flags(p, SynthConfig, _SYNTH_FLAGS)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score stored predictions against ground truth")
     p.add_argument("--scene", action="append", required=True)
@@ -389,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None)
     p.add_argument("--porcelain", action="store_true",
                    help="print the JSON payload instead of tables")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("costs", help="estimate applier FLOPs and memory")
     p.add_argument("--h", type=_positive_int, required=True)
@@ -399,13 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ndet", type=_positive_int, required=True)
     p.add_argument("--nstuff", type=_positive_int, required=True)
     p.add_argument("--bytes", type=_positive_int, default=4)
-    p.set_defaults(func=cmd_costs)
 
     p = sub.add_parser("ablate", help="train and compare preset configurations")
     p.add_argument("--preset", choices=PRESETS, required=True)
     _add_field_flags(p, TrainConfig, {"--steps": "steps", "--seed": "seed"})
     p.add_argument("--json", default=None)
-    p.set_defaults(func=cmd_ablate)
     return parser
 
 
@@ -417,7 +422,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        # Looked up at each call, not bound in the cached parser, so a command
+        # replaced on this module runs.
+        command = {"synth": cmd_synth, "run": cmd_run, "train": cmd_train, "eval": cmd_eval,
+                   "costs": cmd_costs, "ablate": cmd_ablate}[args.command]
+        return command(args)
     except PanfuseError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

@@ -18,9 +18,12 @@ name the file and the key path of any fault.
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import json
 import math
 import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,6 +43,41 @@ _DTYPES = {
 _CODES = {np.dtype("<f4"): 0, np.dtype("<f8"): 1, np.dtype("<u4"): 2}
 
 
+def write_file(path: str | Path, data: bytes | str) -> None:
+    """Replace the file ``path`` whole with ``data`` (a str is written as UTF-8).
+
+    The bytes go to a hidden sibling, ``.<name>.<pid>.tmp``, which is renamed
+    into place once it holds them all, so a reader or a killed process sees
+    the old file, no file or the new one, never a part. The old file is
+    unlinked before the rename: on ext4 a rename over an existing file, like
+    an overwrite in place, forces the new blocks to disk and costs about
+    three times as much. Any OSError names ``path``, not the sibling.
+    """
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    view = memoryview(data.encode() if isinstance(data, str) else data).cast("B")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from None
+    try:
+        try:
+            while view:  # a write may take fewer bytes than it is given
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        os.rename(tmp, path)
+    except BaseException as e:  # an interrupt too leaves no sibling behind
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(e, OSError):
+            raise OSError(e.errno, e.strerror, path) from None
+        raise
+
+
 def write_tensor(path: str | Path, arr: np.ndarray) -> None:
     """Write an array (f32, f64 or u32) to a PANC file."""
     arr = np.asarray(arr)  # not ascontiguousarray, which makes rank 0 rank 1
@@ -48,9 +86,7 @@ def write_tensor(path: str | Path, arr: np.ndarray) -> None:
         raise FormatError(f"unsupported dtype {arr.dtype} for PANC container")
     header = MAGIC + struct.pack("<HBB", VERSION, _CODES[dt], arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(arr.astype(dt, copy=False).tobytes(order="C"))
+    write_file(path, header + arr.astype(dt, copy=False).tobytes(order="C"))
 
 
 @dataclass(frozen=True)
@@ -131,16 +167,38 @@ def read_tensor(path: str | Path) -> np.ndarray:
     return arr
 
 
+def _read_text(path: Path) -> str:
+    """The text of ``path``, as ``Path.read_text`` reads it in UTF-8, from one
+    open and one stat. Where ``Path.is_file`` would be False it raises
+    FormatError; other OSErrors, such as a denied permission, go to the caller."""
+    try:  # non-blocking, so a FIFO in its place is refused, not waited on
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+    except (OSError, ValueError) as e:  # ValueError: a NUL byte in the name
+        if isinstance(e, OSError) and e.errno not in (errno.ENOENT, errno.ENOTDIR, errno.ELOOP):
+            raise
+        raise FormatError(f"no {path.name} in {path.parent}") from None
+    try:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            raise FormatError(f"no {path.name} in {path.parent}")
+        chunks = []  # read to the end, as the file may have grown since the stat
+        while chunk := os.read(fd, st.st_size + 1):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    text = b"".join(chunks).decode()
+    # Universal newlines, as in text mode, so a JSON error gives the same offset.
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def read_manifest(path: Path, fmt: str, what: str) -> dict:
     """Parse a JSON manifest that must be an object whose ``format`` is ``fmt``
     and whose ``version``, if present, is 1.
 
     ``what`` names the manifest kind in errors, with its article.
     """
-    if not path.is_file():
-        raise FormatError(f"no {path.name} in {path.parent}")
     try:
-        manifest = json.loads(path.read_text())
+        manifest = json.loads(_read_text(path))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"unparseable manifest in {path.parent}: {e}") from e
     if not isinstance(manifest, dict):

@@ -204,7 +204,7 @@ def save_panoptic(pmap: PanopticMap, path: str | Path) -> None:
             for s in pmap.segments
         ],
     }
-    (root / "segments.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+    container.write_file(root / "segments.json", json.dumps(sidecar, indent=2, sort_keys=True))
 
 
 def load_panoptic(path: str | Path) -> PanopticMap:

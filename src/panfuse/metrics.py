@@ -279,16 +279,25 @@ def box_average_precision(dets: list[Detection],
 
 
 def _interpolated_ap(tp_flags: list[float], n_gt: int) -> float:
-    """Area under the all-point interpolated precision-recall curve."""
-    tp = np.cumsum(tp_flags)
-    fp = np.cumsum(1.0 - np.asarray(tp_flags))
-    recall = tp / n_gt
-    precision = tp / np.maximum(tp + fp, 1e-12)
+    """Area under the all-point interpolated precision-recall curve.
+
+    Plain floats: numpy's calls cost more than the few detections of a
+    class. The operations are those of ``tests/reference.py``'s numpy
+    version, in the same order, so the result has the same bits.
+    """
+    tp = fp = 0.0
+    recall, precision = [], []
+    for flag in tp_flags:
+        tp += flag
+        fp += 1.0 - flag
+        recall.append(tp / n_gt)
+        precision.append(tp / max(tp + fp, 1e-12))
     # All-point interpolation: running max of precision from the right.
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    for i in range(len(precision) - 2, -1, -1):
+        precision[i] = max(precision[i], precision[i + 1])
     prev_r = 0.0
     ap = 0.0
-    for r, p in zip(recall, envelope):
+    for r, p in zip(recall, precision):
         ap += (r - prev_r) * p
         prev_r = r
     return ap

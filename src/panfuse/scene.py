@@ -362,24 +362,31 @@ def _check_finite(name: Path, t: np.ndarray) -> None:
         raise FormatError(f"{name}: non-finite value at pixel {pixel}")
 
 
-def _check_normalized(name: Path, v: np.ndarray) -> None:
-    """Raise at the first pixel whose probabilities in ``v`` do not sum to 1."""
+def _check_probabilities(name: Path, v: np.ndarray) -> None:
+    """Raise at the first pixel of ``v`` with a NaN or inf, else at the first
+    pixel whose probabilities do not sum to 1."""
     sums = np.einsum("ijk->ij", v)  # 3-5x faster than v.sum(axis=2) over few channels
-    bad = np.abs(sums - 1.0) > 1e-6
-    if bad.any():
-        y, x = np.argwhere(bad)[0]
-        raise FormatError(f"{name}: normalization violated at pixel ({y}, {x}), "
-                          f"sum {sums[y, x]:.6g}")
+    # A NaN or inf makes its pixel's sum non-finite, and so not near 1: a
+    # scene whose sums are all near 1 needs no pass for finiteness.
+    near = np.abs(sums - 1.0) <= 1e-6
+    if near.all():
+        return
+    _check_finite(name, v)
+    y, x = np.argwhere(~near)[0]
+    raise FormatError(f"{name}: normalization violated at pixel ({y}, {x}), "
+                      f"sum {sums[y, x]:.6g}")
 
 
 def _check_mask(name: Path, mask: np.ndarray, b: Box) -> None:
     """Raise if a detection mask is non-finite, has values outside [0, 1] or
     is nonzero outside its box ``b``, in that order."""
-    _check_finite(name, mask[..., None])
     inside = mask[b.y0:b.y1, b.x0:b.x1]
-    outside = np.count_nonzero(mask) != np.count_nonzero(inside)
+    outside = np.count_nonzero(mask) != np.count_nonzero(inside)  # a NaN counts as nonzero
     values = mask if outside else inside  # zeros outside the box are within [0, 1]
-    if values.min() < 0.0 or values.max() > 1.0:
+    # A NaN or inf, counted in ``values``, fails this test too; only then is
+    # the mask searched for one, so a valid mask takes no pass for finiteness.
+    if not (0.0 <= values.min() and values.max() <= 1.0):
+        _check_finite(name, mask[..., None])
         raise FormatError(f"{name}: values outside [0, 1]")
     if outside:
         raise FormatError(f"{name}: nonzero outside its box")
@@ -439,14 +446,14 @@ def save_scene(scene: SceneCues, path: str | Path,
                 for s in gt.segments
             ],
         }
-    (root / _MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    container.write_file(root / _MANIFEST, json.dumps(manifest, indent=2, sort_keys=True))
 
 
 @dataclass
 class _SceneManifest:
     """A checked scene manifest: everything but the tensor payloads."""
 
-    root: Path
+    path: Path  # of manifest.json
     catalog: ClassCatalog
     shape: tuple[int, int]
     cue_files: list[Path | None]  # semantic_probs, features, then each detection's mask
@@ -457,7 +464,7 @@ class _SceneManifest:
 
 def _box(node: dict, source: Path, at: str) -> Box:
     coords = container.manifest_value(node, "box", list, source, at)
-    if len(coords) != 4 or any(type(x) is not int for x in coords):
+    if len(coords) != 4 or set(map(type, coords)) != {int}:
         raise FormatError(f"{source}: key {at}.box must be a list of 4 integers")
     try:
         return Box(*coords)
@@ -536,7 +543,7 @@ def _read_manifest(path: str | Path) -> _SceneManifest:
             box = _box(s, mpath, at)
             _check_box(box, shape, mpath, at)
             gt_segments.append(GtSegment(index, class_id, box, value(s, "area", int, mpath, at)))
-    return _SceneManifest(root=root, catalog=catalog, shape=shape, cue_files=cue_files,
+    return _SceneManifest(path=mpath, catalog=catalog, shape=shape, cue_files=cue_files,
                           detections=detections, gt_labels=gt_labels, gt_segments=gt_segments)
 
 
@@ -572,7 +579,7 @@ def _read_ground_truth(m: _SceneManifest) -> GroundTruthPanoptic | None:
     if u32.dtype != np.uint32:
         raise FormatError(f"{m.gt_labels}: ground-truth grid has dtype {u32.dtype}, "
                           f"expected uint32")
-    mpath, n = m.root / _MANIFEST, len(m.gt_segments)
+    mpath, n = m.path, len(m.gt_segments)
     label = u32.view(np.int32)  # the u32 sentinel reads as IGNORE (-1)
     if label.min() < IGNORE or label.max() >= n:
         y, x = np.argwhere((label < IGNORE) | (label >= n))[0]
@@ -585,16 +592,17 @@ def _read_ground_truth(m: _SceneManifest) -> GroundTruthPanoptic | None:
             raise FormatError(f"{mpath}: key ground_truth.segments[{s.index}].area is "
                               f"{s.area}, but segment {s.index} has {area} pixels in "
                               f"{m.gt_labels}")
-    # Boxes need not be tight, but each must hold its segment's pixels. Per
-    # segment, which columns and rows its box spans; the last slot, read by
-    # IGNORE (-1), spans the grid. One gather per axis checks every pixel.
-    h, w = m.shape
-    x0, y0, x1, y1 = np.array([s.box.as_tuple() for s in m.gt_segments] + [(0, 0, w, h)]).T
-    cols, rows = np.arange(w), np.arange(h)[:, None]
-    inside = ((x0[:, None] <= cols) & (cols < x1[:, None])).take(label * w + cols)
-    inside &= ((y0[:, None] <= rows.T) & (rows.T < y1[:, None])).take(label * h + rows)
-    if not inside.all():
-        y, x = np.argwhere(~inside)[0]
+    # Boxes need not be tight, but each must hold its segment's pixels: with
+    # the areas checked, it does when its window counts all of them.
+    outside = None
+    for s in m.gt_segments:
+        b = s.box
+        if np.count_nonzero(label[b.y0:b.y1, b.x0:b.x1] == s.index) != s.area:
+            own = label == s.index
+            own[b.y0:b.y1, b.x0:b.x1] = False
+            outside = own if outside is None else outside | own
+    if outside is not None:  # report the first such pixel in row-major order
+        y, x = np.argwhere(outside)[0]
         s = m.gt_segments[label[y, x]]
         raise FormatError(f"{mpath}: key ground_truth.segments[{s.index}].box: "
                           f"{s.box.as_tuple()} does not hold pixel ({y}, {x}) of segment "
@@ -612,8 +620,7 @@ def load_scene(path: str | Path) -> tuple[SceneCues, GroundTruthPanoptic | None]
     """
     m = _read_manifest(path)
     v, features, masks = _read_cues(m, container.read_tensor)
-    _check_finite(m.cue_files[0], v)
-    _check_normalized(m.cue_files[0], v)
+    _check_probabilities(m.cue_files[0], v)
     _check_finite(m.cue_files[1], features)
     for det, mask, name in zip(m.detections, masks, m.cue_files[2:]):
         if mask is not None:

@@ -1,5 +1,6 @@
 import contextlib
 import ctypes
+import errno
 import functools
 import io
 import json
@@ -768,6 +769,72 @@ def test_run_and_eval_usage_errors_exit_2_before_writing(tmp_path, capsys,
     assert run_cli("eval", *scene, *scene, "--pred", str(pred), "--json", str(report)) == 2
     assert "got 2 --scene but 1 --pred" in capsys.readouterr().err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("same", [str, lambda d: f"{d}/../{d.name}/", os.path.relpath],
+                         ids=["verbatim", "dot-dot", "relative"])
+def test_run_with_one_out_for_two_scenes_exits_2_writing_nothing(tmp_path, capsys,
+                                                                 masked_scene_and_pred, same):
+    """Two --out values naming one directory would let the second scene's
+    output replace the first's; the command refuses them before any output."""
+    scene_dir, _ = masked_scene_and_pred
+    d = tmp_path / "out"
+    other = same(d)
+    capsys.readouterr()
+    assert run_cli("run", "--scene", str(scene_dir), "--out", str(d),
+                   "--scene", str(scene_dir), "--out", other) == 2
+    assert capsys.readouterr().err == (
+        f"error: --out {d} and --out {other} name the same directory, "
+        f"so one scene's output would replace the other's\n")
+    assert not d.exists()
+
+
+def test_a_failed_write_keeps_the_old_output_and_leaves_no_sibling(tmp_path, capsys,
+                                                                  monkeypatch,
+                                                                  masked_scene_and_pred):
+    scene_dir, pred = masked_scene_and_pred
+    report = tmp_path / "reports" / "eval.json"
+    report.parent.mkdir()
+    report.write_bytes(b"old report")
+    capsys.readouterr()
+
+    def full_disk(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    monkeypatch.setattr(os, "write", full_disk)
+    code = run_cli("eval", "--scene", str(scene_dir), "--pred", str(pred), "--json", str(report))
+    monkeypatch.undo()
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {report}: No space left on device\n"
+    assert report.read_bytes() == b"old report"
+    assert sorted(report.parent.iterdir()) == [report]
+
+
+def test_main_parses_each_call_afresh(tmp_path, monkeypatch, masked_scene_and_pred):
+    """The parser is built once per process, but one call's lists and values
+    never reach the next call."""
+    assert cli.build_parser() is cli.build_parser()
+    scene_dir, pred = masked_scene_and_pred
+    seen = []
+
+    def spy(command):
+        def record(args):
+            seen.append(vars(args).copy())
+            return command(args)
+        return record
+    monkeypatch.setattr(cli, "cmd_run", spy(cli.cmd_run))
+    monkeypatch.setattr(cli, "cmd_eval", spy(cli.cmd_eval))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    assert run_cli("run", "--scene", str(scene_dir), "--out", str(outs[0]),
+                   "--scene", str(scene_dir), "--out", str(outs[1]),
+                   "--mode", "heuristic", "--trim", "3") == 0
+    assert run_cli("eval", "--scene", str(scene_dir), "--pred", str(outs[1])) == 0
+    assert run_cli("run", "--scene", str(scene_dir), "--out", str(outs[0])) == 0
+    assert [args["scene"] for args in seen] == [[str(scene_dir)] * 2, [str(scene_dir)],
+                                                [str(scene_dir)]]
+    assert seen[0]["out"] == list(map(str, outs)) and seen[2]["out"] == [str(outs[0])]
+    assert seen[1]["pred"] == [str(outs[1])] and "out" not in seen[1]
+    assert (seen[0]["mode"], seen[0]["trim"]) == ("heuristic", 3)
+    assert (seen[2]["mode"], seen[2]["trim"]) == ("argmax", 0)
 
 
 @pytest.fixture

@@ -20,10 +20,12 @@ from panfuse.metrics import (
     class_pixel_counts,
     mean_iou,
     thing_stuff_confusion,
+    _interpolated_ap,
 )
 from panfuse.numerics import VOID, argmax_channels
 from panfuse.potential import ChannelInfo
 from panfuse.scene import Box, ClassCatalog, Detection, SynthConfig, synth_scene
+from reference import interpolated_ap
 
 
 def pmap_from_grid(grid, classes, kinds):
@@ -330,6 +332,13 @@ def test_ap_equals_per_threshold_reference(seed):
     dets += [Detection(random_box(rng), float(rng.choice([0.5, rng.random()])),
                        int(rng.integers(3, 7))) for _ in range(rng.integers(0, 8))]
     assert box_average_precision(dets, gt_boxes) == per_threshold_ap(dets, gt_boxes)
+
+
+@given(flags=st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=60),
+       extra_gt=st.integers(0, 30))
+def test_interpolated_ap_has_the_bits_of_the_numpy_version(flags, extra_gt):
+    n_gt = max(1, int(sum(flags))) + extra_gt
+    assert _interpolated_ap(flags, n_gt).hex() == float(interpolated_ap(flags, n_gt)).hex()
 
 
 # ---------------------------------------------------------------------------
