@@ -56,7 +56,7 @@ def write_file(path: str | Path, data: bytes | str) -> None:
     path = os.fspath(path)
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
-    view = memoryview(data.encode() if isinstance(data, str) else data).cast("B")
+    view = memoryview(data.encode() if isinstance(data, str) else data)
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     except OSError as e:
