@@ -50,8 +50,9 @@ def write_file(path: str | Path, data: bytes | str) -> None:
     into place once it holds them all, so a reader or a killed process sees
     the old file, no file or the new one, never a part. The old file is
     unlinked before the rename: on ext4 a rename over an existing file, like
-    an overwrite in place, forces the new blocks to disk and costs about
-    three times as much. Any OSError names ``path``, not the sibling.
+    an overwrite in place, makes the file system allocate and start writing
+    the new blocks at once, which costs twice as much or more. Any OSError
+    names ``path``, not the sibling.
     """
     path = os.fspath(path)
     head, name = os.path.split(path)
