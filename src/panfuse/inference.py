@@ -18,7 +18,7 @@ import numpy as np
 
 from . import container
 from .errors import CueError, DimensionError, FormatError
-from .numerics import SENTINEL_U32, VOID, argmax_channels, bounded, check_bounds, require_tensor3
+from .numerics import SENTINEL_U32, VOID, bounded, check_bounds, require_tensor3
 from .potential import ChannelInfo
 from .scene import ClassCatalog, Detection, GroundTruthPanoptic
 
@@ -76,21 +76,27 @@ def _numbered(parts: list[tuple[int, str, int]]) -> list[Segment]:
             for i, (class_id, kind, area) in enumerate(parts)]
 
 
-def infer_panoptic(p: np.ndarray, channel_meta: list[ChannelInfo]) -> PanopticMap:
-    """Per-pixel channel argmax collapsed to (class, instance) segments.
+def infer_panoptic(winners: np.ndarray, channel_meta: list[ChannelInfo]) -> PanopticMap:
+    """Per-pixel winning channels collapsed to (class, instance) segments.
 
-    Channels that win nowhere produce no segment and use no instance id;
-    every pixel is assigned (the output contains zero VOID pixels).
+    ``winners`` is an (h, w) grid of channel indices. Channels that win
+    nowhere produce no segment and use no instance id; every pixel is
+    assigned (the output contains zero VOID pixels).
     """
-    p = require_tensor3(p, "panoptic logits")
-    if p.shape[2] != len(channel_meta):
-        raise DimensionError(
-            f"logits have {p.shape[2]} channels, metadata describes {len(channel_meta)}"
-        )
-    winners = argmax_channels(p)
-    areas = np.bincount(winners.ravel(), minlength=len(channel_meta))
+    winners = np.asarray(winners)
+    if winners.ndim != 2 or min(winners.shape) < 1 or winners.dtype.kind not in "iu":
+        raise DimensionError(f"winning channels must be an (h, w) grid of integers, "
+                             f"got {winners.dtype} of shape {winners.shape}")
+    n = len(channel_meta)
+    try:
+        areas = np.bincount(winners.ravel(), minlength=n)
+    except (TypeError, ValueError):  # a negative channel, or uint64
+        areas = None
+    if areas is None or len(areas) > n:
+        raise DimensionError(f"winning channels must lie in [0, {n}), "
+                             f"the channels the metadata describes")
     won = np.flatnonzero(areas)  # segments and instance ids follow channel order
-    segment_of = np.full(len(channel_meta), VOID, dtype=np.int32)
+    segment_of = np.full(n, VOID, dtype=np.int32)
     segment_of[won] = np.arange(len(won))
     segments = _numbered([(channel_meta[k].class_id, channel_meta[k].kind, int(areas[k]))
                           for k in won.tolist()])

@@ -111,12 +111,6 @@ def require_tensor3(t: np.ndarray, name: str = "tensor") -> np.ndarray:
     return t
 
 
-def argmax_channels(t: np.ndarray) -> np.ndarray:
-    """Per-pixel index of the maximal channel; ties go to the lowest index."""
-    t = require_tensor3(t)
-    return t.argmax(axis=2).astype(np.int32)
-
-
 def channel_max(x: np.ndarray) -> np.ndarray:
     """Row maxima of an (n, k) matrix, one column at a time.
 

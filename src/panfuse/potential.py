@@ -16,12 +16,21 @@ B and C coincide with the mask-free form when no masks are supplied.
 Channel k belongs to detection k. The part of a box beyond the grid adds
 nothing (a box wholly outside leaves an all-zero channel); the scene
 loaders reject such boxes.
+
+A channel is zero outside its box, so the potential is held box-sparse:
+the leading channels whose clipped box is the whole grid (the stuff
+pseudo-detections) as the rows of one dense slab, every other channel as
+its clipped box window. The inference forward
+(``affinity.fused_winners``) works on these; training reads the dense
+tensor, ``DynamicPotential.psi``, scattered from them.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,14 +53,45 @@ class ChannelInfo:
     class_id: int
 
 
+class Window(NamedTuple):
+    """The nonzero part of one channel: rows ``y0:y1`` and columns ``x0:x1``."""
+
+    channel: int
+    y0: int
+    y1: int
+    x0: int
+    x1: int
+    region: np.ndarray  # (y1 - y0, x1 - x0), in the dtype of psi
+
+
 @dataclass
 class DynamicPotential:
-    psi: np.ndarray  # (h, w, n_channels)
+    """The (h, w, n_channels) potential, held as what can be nonzero in it.
+
+    Channel j < len(slab) is row j of ``slab``; every later channel is zero
+    outside its window, or everywhere if it has none (a box wholly outside
+    the grid).
+    """
+
+    shape: tuple[int, int]  # (h, w)
     channels: list[ChannelInfo]
+    slab: np.ndarray  # (leading full-grid channels, h * w), the dtype of psi
+    windows: list[Window]
 
     @property
     def n_channels(self) -> int:
-        return self.psi.shape[2]
+        return len(self.channels)
+
+    @functools.cached_property
+    def psi(self) -> np.ndarray:
+        """The dense (h, w, n_channels) tensor, zero outside the windows."""
+        h, w = self.shape
+        psi = np.zeros((h * w, self.n_channels), dtype=self.slab.dtype)
+        psi[:, :len(self.slab)] = self.slab.T
+        psi = psi.reshape(h, w, -1)
+        for k, y0, y1, x0, x1, region in self.windows:
+            psi[y0:y1, x0:x1, k] = region
+        return psi
 
 
 def append_stuff_boxes(dets: list[Detection], catalog: ClassCatalog,
@@ -84,10 +124,11 @@ def filter_by_score(dets: list[Detection], threshold: float) -> list[Detection]:
 
 def build_potential(v: np.ndarray, dets: list[Detection], variant: Variant,
                     catalog: ClassCatalog) -> DynamicPotential:
-    """Rasterize detections into the per-candidate potential tensor.
+    """Rasterize detections into the slab of leading full-grid channels and the
+    box windows of the rest.
 
     ``dets`` must already include the stuff pseudo-detections; channel k
-    is detection k, sliced out of the grid.
+    is detection k, its box clipped to the grid.
     """
     v = require_tensor3(v, "semantic probabilities")
     h, w, c = v.shape
@@ -103,20 +144,29 @@ def build_potential(v: np.ndarray, dets: list[Detection], variant: Variant,
             "masks are enabled for this scene but some thing detection lacks one"
         )
 
-    # Each region is written into its channel of one zeroed tensor.
-    psi = np.zeros((h, w, len(dets)), dtype=v.dtype)
+    # Each region is cast to the dtype of psi, as a write into a dense
+    # tensor of that dtype would cast it.
+    slab_regions, windows = [], []
     channels: list[ChannelInfo] = []
     for k, det in enumerate(dets):
         is_thing = catalog.is_thing(det.class_id)
+        channels.append(ChannelInfo(kind="thing" if is_thing else "stuff",
+                                    class_id=det.class_id))
+        y0, x0 = det.box.y0, det.box.x0
+        y1, x1 = min(det.box.y1, h), min(det.box.x1, w)
+        if y0 >= y1 or x0 >= x1:  # wholly beyond the grid: an all-zero channel
+            continue
         score = 1.0 if variant is Variant.A else det.score
-        sl = (slice(det.box.y0, det.box.y1), slice(det.box.x0, det.box.x1))
-        prob = v[sl[0], sl[1], det.class_id]
-        m = det.mask[sl] if is_thing and masks_enabled else None
+        prob = v[y0:y1, x0:x1, det.class_id]
+        m = det.mask[y0:y1, x0:x1] if is_thing and masks_enabled else None
         if variant is Variant.C:
             region = score * (prob + (m if m is not None else 0.0))
         else:  # A and B are multiplicative; absent mask is the identity
             region = score * (prob * m if m is not None else prob)
-        psi[sl[0], sl[1], k] = region
-        channels.append(ChannelInfo(kind="thing" if is_thing else "stuff",
-                                    class_id=det.class_id))
-    return DynamicPotential(psi=psi, channels=channels)
+        region = region.astype(v.dtype, copy=False)
+        if (y0, x0, y1, x1) == (0, 0, h, w) and len(slab_regions) == k:
+            slab_regions.append(region.reshape(-1))
+        else:
+            windows.append(Window(k, y0, y1, x0, x1, region))
+    slab = np.array(slab_regions, dtype=v.dtype).reshape(len(slab_regions), h * w)
+    return DynamicPotential(shape=(h, w), channels=channels, slab=slab, windows=windows)

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .affinity import AffinityParams, apply_affinity_factored, project_features
+from .affinity import AffinityParams, fused_winners
 from .errors import CueError, NumericError
 from .inference import MergerParams, PanopticMap, heuristic_merge, infer_panoptic, panoptic_from_ground_truth
 from .matching import TargetMap, build_target_map, match_segments, panoptic_matching_loss, target_channels
@@ -208,37 +208,31 @@ def make_eval_pool(cfg: TrainConfig) -> list[tuple[SceneCues, GroundTruthPanopti
             for i in range(cfg.eval_scenes)]
 
 
-def panoptic_logits(scene: SceneCues, params: AffinityParams | None,
-                    variant: Variant = Variant.B,
-                    score_threshold: float = EVAL_SCORE_THRESHOLD,
-                    ) -> tuple[np.ndarray, DynamicPotential, list[Detection]]:
-    """The inference forward: filter, stuff boxes, potential, optional affinity.
+def panoptic_winners(scene: SceneCues, params: AffinityParams | None,
+                     variant: Variant = Variant.B,
+                     score_threshold: float = EVAL_SCORE_THRESHOLD,
+                     ) -> tuple[np.ndarray, DynamicPotential, list[Detection]]:
+    """The inference forward: filter, stuff boxes, potential, optional affinity,
+    argmax (``affinity.fused_winners``).
 
-    Returns the logits, the potential and the detections its channels
-    index (stuff pseudo-detections first). Without ``params`` the logits
-    are the potential itself. Finite but huge features can overflow the
-    affinity forward; that raises ``NumericError`` instead of warning.
+    Returns each pixel's winning channel, the potential and the detections
+    its channels index (stuff pseudo-detections first). Without ``params``
+    the logits are the potential itself. Finite but huge features can
+    overflow the affinity forward; that raises ``NumericError``.
     """
     dets = filter_by_score(scene.detections, score_threshold)
     dets = append_stuff_boxes(dets, scene.catalog, scene.height, scene.width)
     potential = build_potential(scene.semantic_probs, dets, variant, scene.catalog)
-    p = potential.psi
-    if params is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            q0, q1 = project_features(scene.features, params)
-            p = apply_affinity_factored(p, q0, q1)
-        if not np.isfinite(p).all():
-            raise NumericError("the affinity forward gave non-finite logits")
-    return p, potential, dets
+    return fused_winners(potential, scene.features, params), potential, dets
 
 
 def predict_panoptic(scene: SceneCues, params: AffinityParams | None,
                      variant: Variant = Variant.B,
                      score_threshold: float = EVAL_SCORE_THRESHOLD,
                      ) -> PanopticMap:
-    """Inference pipeline: the forward of ``panoptic_logits``, then argmax."""
-    p, potential, _ = panoptic_logits(scene, params, variant, score_threshold)
-    return infer_panoptic(p, potential.channels)
+    """Inference pipeline: the forward of ``panoptic_winners``, then segments."""
+    winners, potential, _ = panoptic_winners(scene, params, variant, score_threshold)
+    return infer_panoptic(winners, potential.channels)
 
 
 def evaluate_pq(pool: list[tuple[SceneCues, GroundTruthPanoptic]],

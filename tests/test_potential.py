@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from panfuse.errors import CueError
-from panfuse.numerics import argmax_channels
 from panfuse.potential import Variant, append_stuff_boxes, build_potential, filter_by_score
 from panfuse.scene import Box, ClassCatalog, Detection, SynthConfig, synth_scene
+
+from reference import argmax_channels
 
 
 def det(box, score, class_id, mask=None):
