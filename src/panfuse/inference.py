@@ -88,13 +88,10 @@ def infer_panoptic(winners: np.ndarray, channel_meta: list[ChannelInfo]) -> Pano
         raise DimensionError(f"winning channels must be an (h, w) grid of integers, "
                              f"got {winners.dtype} of shape {winners.shape}")
     n = len(channel_meta)
-    try:
-        areas = np.bincount(winners.ravel(), minlength=n)
-    except (TypeError, ValueError):  # a negative channel, or uint64
-        areas = None
-    if areas is None or len(areas) > n:
+    if winners.min() < 0 or winners.max() >= n:
         raise DimensionError(f"winning channels must lie in [0, {n}), "
                              f"the channels the metadata describes")
+    areas = np.bincount(winners.ravel().astype(np.intp, copy=False), minlength=n)
     won = np.flatnonzero(areas)  # segments and instance ids follow channel order
     segment_of = np.full(n, VOID, dtype=np.int32)
     segment_of[won] = np.arange(len(won))

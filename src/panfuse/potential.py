@@ -21,14 +21,13 @@ A channel is zero outside its box, so the potential is held box-sparse:
 the leading channels whose clipped box is the whole grid (the stuff
 pseudo-detections) as the rows of one dense slab, every other channel as
 its clipped box window. The inference forward
-(``affinity.fused_winners``) works on these; training reads the dense
-tensor, ``DynamicPotential.psi``, scattered from them.
+(``affinity.fused_winners``) works on these; training keeps only the
+dense tensor scattered from them (``DensePotential``).
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -82,9 +81,10 @@ class DynamicPotential:
     def n_channels(self) -> int:
         return len(self.channels)
 
-    @functools.cached_property
+    @property
     def psi(self) -> np.ndarray:
-        """The dense (h, w, n_channels) tensor, zero outside the windows."""
+        """The dense (h, w, n_channels) tensor, zero outside the windows;
+        scattered anew on each access."""
         h, w = self.shape
         psi = np.zeros((h * w, self.n_channels), dtype=self.slab.dtype)
         psi[:, :len(self.slab)] = self.slab.T
@@ -92,6 +92,18 @@ class DynamicPotential:
         for k, y0, y1, x0, x1, region in self.windows:
             psi[y0:y1, x0:x1, k] = region
         return psi
+
+
+@dataclass
+class DensePotential:
+    """A potential held as its dense tensor alone, as training reads it."""
+
+    psi: np.ndarray  # (h, w, n_channels)
+    channels: list[ChannelInfo]
+
+    @property
+    def n_channels(self) -> int:
+        return len(self.channels)
 
 
 def append_stuff_boxes(dets: list[Detection], catalog: ClassCatalog,

@@ -12,7 +12,6 @@ tensor file per array (see :mod:`panfuse.container`).
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -457,9 +456,9 @@ class _SceneManifest:
     path: Path  # of manifest.json
     catalog: ClassCatalog
     shape: tuple[int, int]
-    cue_files: list[str | None]  # semantic_probs, features, then each detection's mask
+    cue_files: list[Path | None]  # semantic_probs, features, then each detection's mask
     detections: list[Detection]  # masks not read
-    gt_labels: str | None
+    gt_labels: Path | None
     gt_segments: list[GtSegment]
 
 
@@ -486,62 +485,9 @@ def _check_class(class_id: int, catalog: ClassCatalog, source: Path, at: str) ->
         raise FormatError(f"{source}: key {at}.class_id: {class_id} out of range")
 
 
-def _child(root: Path, base: str, name: str) -> str:
-    """``str(root / name)``, without building a Path for a plain file name."""
-    if name and name != "." and os.sep not in name and "/" not in name \
-            and base != "." and not base.endswith(os.sep):
-        return f"{base}{os.sep}{name}"
-    return str(root / name)
-
-
-def _detection(rec: dict, at: str, shape: tuple[int, int], catalog: ClassCatalog,
-               source: Path) -> Detection:
-    """One detection record, checked rule by rule; raises at its first fault."""
-    value = container.manifest_value
-    value(rec, "mask", str, source, at, optional=True)
-    det = Detection(box=_box(rec, source, at), score=value(rec, "score", float, source, at),
-                    class_id=value(rec, "class_id", int, source, at))
-    _check_box(det.box, shape, source, at)
-    if not (0.0 <= det.score <= 1.0):
-        raise FormatError(f"{source}: key {at}.score: {det.score} outside [0, 1]")
-    _check_class(det.class_id, catalog, source, at)
-    if not catalog.is_thing(det.class_id):  # the pipeline adds the stuff pseudo-detections
-        raise FormatError(f"{source}: key {at}.class_id: {det.class_id} is not a thing class")
-    return det
-
-
-def _segment(i: int, rec: dict, at: str, shape: tuple[int, int], catalog: ClassCatalog,
-             source: Path) -> GtSegment:
-    """Ground-truth segment record ``i``, checked rule by rule; raises at its
-    first fault."""
-    value = container.manifest_value
-    index = value(rec, "index", int, source, at)
-    if index != i:  # the label grid indexes the segment list directly
-        raise FormatError(f"{source}: key {at}.index must be {i}, got {index}")
-    class_id = value(rec, "class_id", int, source, at)
-    _check_class(class_id, catalog, source, at)
-    box = _box(rec, source, at)
-    _check_box(box, shape, source, at)
-    return GtSegment(index, class_id, box, value(rec, "area", int, source, at))
-
-
-def _valid_boxes(boxes: list, shape: tuple[int, int]) -> bool:
-    """Whether every value passes ``_box`` and ``_check_box``."""
-    h, w = shape
-    return all(type(b) is list and len(b) == 4
-               and type(b[0]) is type(b[1]) is type(b[2]) is type(b[3]) is int
-               and 0 <= b[0] < b[2] <= w and 0 <= b[1] < b[3] <= h for b in boxes)
-
-
 def _read_manifest(path: str | Path) -> _SceneManifest:
-    """Parse and check ``manifest.json``; shared by both scene loaders.
-
-    The records are checked a column (key) at a time, over all records at
-    once. Only when a column fails are the records checked one by one
-    (``_detection``, ``_segment``), which raises at the first fault.
-    """
+    """Parse and check ``manifest.json``; shared by both scene loaders."""
     root = Path(path)
-    base = str(root)
     mpath = root / _MANIFEST
     value, records = container.manifest_value, container.manifest_records
     manifest = container.read_manifest(mpath, "panfuse-scene", "a scene")
@@ -563,40 +509,40 @@ def _read_manifest(path: str | Path) -> _SceneManifest:
         if side < 1:
             raise FormatError(f"{mpath}: key shape.{key} must be >= 1, got {side}")
     tensors = value(manifest, "tensors", dict, mpath)
-    cue_files = [_child(root, base, value(tensors, key, str, mpath, "tensors"))
+    cue_files = [root / value(tensors, key, str, mpath, "tensors")
                  for key in ("semantic_probs", "features")]
 
-    recs = records(manifest, "detections", mpath)
-    masks, boxes, scores, classes = ([r.get(key) for r, _ in recs]
-                                     for key in ("mask", "box", "score", "class_id"))
-    if (all(type(m) is str or m is None for m in masks) and _valid_boxes(boxes, shape)
-            and all(type(s) in (float, int) and 0.0 <= s <= 1.0 for s in scores)
-            and all(type(c) is int and catalog.n_stuff <= c < catalog.n_classes
-                    for c in classes)):
-        detections = [Detection(box=Box(*b), score=s, class_id=c)
-                      for b, s, c in zip(boxes, scores, classes)]
-    else:
-        detections = [_detection(r, at, shape, catalog, mpath) for r, at in recs]
-    cue_files += [_child(root, base, m) if m else None for m in masks]
-    if any(masks) and not all(masks):  # build_potential needs all or none
-        raise FormatError(f"{mpath}: key detections[{[bool(m) for m in masks].index(False)}]"
-                          f".mask is absent, but other detections have masks")
+    detections = []
+    for rec, at in records(manifest, "detections", mpath):
+        mask = value(rec, "mask", str, mpath, at, optional=True)
+        cue_files.append(root / mask if mask else None)
+        det = Detection(box=_box(rec, mpath, at),
+                        score=value(rec, "score", float, mpath, at),
+                        class_id=value(rec, "class_id", int, mpath, at))
+        _check_box(det.box, shape, mpath, at)
+        if not (0.0 <= det.score <= 1.0):
+            raise FormatError(f"{mpath}: key {at}.score: {det.score} outside [0, 1]")
+        _check_class(det.class_id, catalog, mpath, at)
+        if not catalog.is_thing(det.class_id):  # the pipeline adds the stuff pseudo-detections
+            raise FormatError(f"{mpath}: key {at}.class_id: {det.class_id} is not a thing class")
+        detections.append(det)
+    if any(cue_files[2:]) and None in cue_files[2:]:  # build_potential needs all or none
+        raise FormatError(f"{mpath}: key detections[{cue_files.index(None) - 2}].mask is "
+                          f"absent, but other detections have masks")
 
     gt_labels, gt_segments = None, []
     g = value(manifest, "ground_truth", dict, mpath, optional=True)
     if g:
-        gt_labels = _child(root, base, value(g, "label_map", str, mpath, "ground_truth"))
-        recs = records(g, "segments", mpath, "ground_truth")
-        indices, classes, boxes, areas = ([r.get(key) for r, _ in recs]
-                                          for key in ("index", "class_id", "box", "area"))
-        if (indices == list(range(len(recs))) and all(type(i) is int for i in indices)
-                and all(type(c) is int and 0 <= c < catalog.n_classes for c in classes)
-                and _valid_boxes(boxes, shape) and all(type(a) is int for a in areas)):
-            gt_segments = [GtSegment(i, c, Box(*b), a)
-                           for i, c, b, a in zip(indices, classes, boxes, areas)]
-        else:
-            gt_segments = [_segment(i, r, at, shape, catalog, mpath)
-                           for i, (r, at) in enumerate(recs)]
+        gt_labels = root / value(g, "label_map", str, mpath, "ground_truth")
+        for i, (s, at) in enumerate(records(g, "segments", mpath, "ground_truth")):
+            index = value(s, "index", int, mpath, at)
+            if index != i:  # the label grid indexes the segment list directly
+                raise FormatError(f"{mpath}: key {at}.index must be {i}, got {index}")
+            class_id = value(s, "class_id", int, mpath, at)
+            _check_class(class_id, catalog, mpath, at)
+            box = _box(s, mpath, at)
+            _check_box(box, shape, mpath, at)
+            gt_segments.append(GtSegment(index, class_id, box, value(s, "area", int, mpath, at)))
     return _SceneManifest(path=mpath, catalog=catalog, shape=shape, cue_files=cue_files,
                           detections=detections, gt_labels=gt_labels, gt_segments=gt_segments)
 

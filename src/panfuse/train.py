@@ -19,7 +19,8 @@ from .inference import MergerParams, PanopticMap, heuristic_merge, infer_panopti
 from .matching import TargetMap, build_target_map, match_segments, panoptic_matching_loss, target_channels
 from .metrics import PQReport, PQStats
 from .numerics import bounded, channel_max, channel_sum, check_bounds, pixel_sum
-from .potential import DynamicPotential, Variant, append_stuff_boxes, build_potential, filter_by_score
+from .potential import (DensePotential, DynamicPotential, Variant, append_stuff_boxes,
+                        build_potential, filter_by_score)
 from .scene import Detection, GroundTruthPanoptic, SceneCues, SynthConfig, synth_scene
 
 EVAL_SEED_OFFSET = 10_007
@@ -83,7 +84,7 @@ class SceneBundle:
     """
 
     scene: SceneCues
-    potential: DynamicPotential
+    potential: DensePotential
     target: TargetMap
     psi_flat: np.ndarray = field(init=False, repr=False)  # (pixels, k) view of psi
     features_flat: np.ndarray = field(init=False, repr=False)  # (pixels, c)
@@ -138,7 +139,8 @@ def prepare_training_scene(scene: SceneCues, gt: GroundTruthPanoptic,
     potential = build_potential(scene.semantic_probs, [dets[i] for i in kept],
                                 variant, scene.catalog)
     target = build_target_map(gt, match, kept)
-    return SceneBundle(scene=scene, potential=potential, target=target)
+    return SceneBundle(scene=scene, target=target,
+                       potential=DensePotential(potential.psi, potential.channels))
 
 
 def loss_and_grads(bundle: SceneBundle, params: AffinityParams,

@@ -7,20 +7,12 @@
 which integrates in plain floats. ``dense_logits`` and ``argmax_channels``
 are the inference forward over the whole grid, which
 ``affinity.logit_blocks`` and ``affinity.fused_winners`` compute in row
-blocks over box windows. ``read_manifest_by_record`` checks a scene
-manifest one record at a time, as ``scene._read_manifest`` did before it
-checked by column.
+blocks over box windows.
 """
-
-from pathlib import Path
 
 import numpy as np
 
-from panfuse import container
 from panfuse.affinity import apply_affinity_factored, project_features
-from panfuse.errors import DimensionError, FormatError
-from panfuse.scene import (_MANIFEST, ClassCatalog, Detection, GtSegment, _box, _check_box,
-                           _check_class, _SceneManifest)
 
 # Above this many pixels the n x n affinity matrix outgrows a test's memory
 # (4096 pixels: 128 MiB in float64).
@@ -80,66 +72,3 @@ def clear_winners(logits, relative=1e-9):
         return np.ones(logits.shape[:2], dtype=bool)
     top = np.sort(logits, axis=2)
     return top[:, :, -1] - top[:, :, -2] > relative * np.abs(top[:, :, -1])
-
-
-def read_manifest_by_record(path):
-    """``scene._read_manifest``, checking the records one at a time: each
-    record's rules run in order, and the first fault met is raised."""
-    root = Path(path)
-    mpath = root / _MANIFEST
-    value, records = container.manifest_value, container.manifest_records
-    manifest = container.read_manifest(mpath, "panfuse-scene", "a scene")
-
-    cat = value(manifest, "catalog", dict, mpath)
-    names = value(cat, "names", list, mpath, "catalog", optional=True)
-    if names and any(type(n) is not str for n in names):
-        raise FormatError(f"{mpath}: key catalog.names must be a list of strings")
-    try:
-        catalog = ClassCatalog(value(cat, "n_stuff", int, mpath, "catalog"),
-                               value(cat, "n_thing", int, mpath, "catalog"),
-                               tuple(names) if names else None)
-    except DimensionError as e:
-        raise FormatError(f"{mpath}: key catalog: {e}") from None
-    grid = value(manifest, "shape", dict, mpath)
-    shape = (value(grid, "height", int, mpath, "shape"),
-             value(grid, "width", int, mpath, "shape"))
-    for key, side in zip(("height", "width"), shape):
-        if side < 1:
-            raise FormatError(f"{mpath}: key shape.{key} must be >= 1, got {side}")
-    tensors = value(manifest, "tensors", dict, mpath)
-    cue_files = [root / value(tensors, key, str, mpath, "tensors")
-                 for key in ("semantic_probs", "features")]
-
-    detections = []
-    for rec, at in records(manifest, "detections", mpath):
-        mask = value(rec, "mask", str, mpath, at, optional=True)
-        cue_files.append(root / mask if mask else None)
-        det = Detection(box=_box(rec, mpath, at),
-                        score=value(rec, "score", float, mpath, at),
-                        class_id=value(rec, "class_id", int, mpath, at))
-        _check_box(det.box, shape, mpath, at)
-        if not (0.0 <= det.score <= 1.0):
-            raise FormatError(f"{mpath}: key {at}.score: {det.score} outside [0, 1]")
-        _check_class(det.class_id, catalog, mpath, at)
-        if not catalog.is_thing(det.class_id):
-            raise FormatError(f"{mpath}: key {at}.class_id: {det.class_id} is not a thing class")
-        detections.append(det)
-    if any(cue_files[2:]) and None in cue_files[2:]:
-        raise FormatError(f"{mpath}: key detections[{cue_files.index(None) - 2}].mask is "
-                          f"absent, but other detections have masks")
-
-    gt_labels, gt_segments = None, []
-    g = value(manifest, "ground_truth", dict, mpath, optional=True)
-    if g:
-        gt_labels = root / value(g, "label_map", str, mpath, "ground_truth")
-        for i, (s, at) in enumerate(records(g, "segments", mpath, "ground_truth")):
-            index = value(s, "index", int, mpath, at)
-            if index != i:
-                raise FormatError(f"{mpath}: key {at}.index must be {i}, got {index}")
-            class_id = value(s, "class_id", int, mpath, at)
-            _check_class(class_id, catalog, mpath, at)
-            box = _box(s, mpath, at)
-            _check_box(box, shape, mpath, at)
-            gt_segments.append(GtSegment(index, class_id, box, value(s, "area", int, mpath, at)))
-    return _SceneManifest(path=mpath, catalog=catalog, shape=shape, cue_files=cue_files,
-                          detections=detections, gt_labels=gt_labels, gt_segments=gt_segments)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from panfuse.errors import CueError, FormatError
+from panfuse.errors import CueError, DimensionError, FormatError
 from panfuse.inference import (
     MergerParams,
     heuristic_merge,
@@ -44,6 +44,28 @@ def test_infer_two_disjoint_things():
     things = [s for s in pmap.segments if s.kind == "thing"]
     assert sorted(s.area for s in things) == [6, 6]
     assert sorted(s.instance_id for s in things) == [1, 2]
+
+
+@pytest.mark.parametrize("winners", [
+    np.zeros(4, dtype=np.intp),  # not a grid
+    np.zeros((0, 3), dtype=np.intp),  # no pixels
+    np.zeros((2, 2)),  # not integers
+    np.array([[0, -1]]),
+    np.array([[0, 2]]),  # one past the last channel
+    np.array([[0, 2**40]], dtype=np.int64),  # too large to count pixels by channel
+    np.array([[0, 2**63]], dtype=np.uint64),
+], ids=["1d", "empty", "float", "negative", "past-end", "huge", "huge-uint64"])
+def test_infer_refuses_what_is_not_a_grid_of_channels(winners):
+    with pytest.raises(DimensionError, match="winning channels must"):
+        infer_panoptic(winners, stuff_channels(2))
+
+
+def test_infer_takes_any_integer_dtype():
+    grid = np.array([[0, 1], [1, 1]])
+    want = infer_panoptic(grid, stuff_channels(2))
+    for dtype in (np.uint8, np.int32, np.uint64):
+        got = infer_panoptic(grid.astype(dtype), stuff_channels(2))
+        assert np.array_equal(got.label_map, want.label_map) and got.segments == want.segments
 
 
 def test_instance_ids_count_only_winning_thing_channels(tmp_path):

@@ -2,11 +2,10 @@ import json
 import struct
 import tempfile
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import given, reject
 from hypothesis import strategies as st
 
 from panfuse.container import TensorHeader, read_header, read_tensor, write_tensor
@@ -23,13 +22,9 @@ from panfuse.scene import (
     load_scene,
     load_scene_records,
     save_scene,
-    _child,
-    _read_manifest,
     synth_scene,
     tight_box,
 )
-
-from reference import read_manifest_by_record
 
 
 def scenes_equal(a, b):
@@ -569,86 +564,3 @@ def test_ignore_pixels_are_stored_as_the_u32_sentinel_and_stay_ignore(tmp_path):
     match = match_segments(loaded, dets, 0.5, scene.catalog)
     target = build_target_map(loaded, match, list(range(len(dets))))
     assert (target.label_map[ignore] == IGNORE).all()
-
-
-# Values a damaged record field may take, by key: wrong JSON types,
-# booleans and floats for integers, numbers at and across each range's
-# ends, and boxes of every fault.
-_INTEGERS = [None, True, False, "1", -1, 0, 1, 2, 3, 5, 6, 7, 1.0, 2.0, 10**20]
-DAMAGE_VALUES = {
-    "box": [None, "x", {}, [], [1, 2, 3], [0, 0, 4, 4], [4, 4, 0, 0], [3, 1, 3, 5],
-            [-1, 0, 3, 3], [0, 0, 32, 32], [0, 0, 33, 5], [5, 0, 9, 33], [0.0, 0, 3, 3],
-            [True, 0, 3, 3], [0, 0, 3, "3"]],
-    "score": [None, True, "x", [], -0.5, 0, 0.0, 0.5, 1, 1.0, 1.5, 2, float("nan"),
-              float("inf"), 10**20],
-    "class_id": _INTEGERS, "index": _INTEGERS, "area": _INTEGERS,
-    "mask": [None, "", "x", 5, True, [], "mask_000.panc", "sub/mask_000.panc"],
-}
-RECORD_KEYS = {"detections": ["box", "score", "class_id", "mask"],
-               "segments": ["index", "class_id", "box", "area"]}
-
-
-@st.composite
-def manifest_damage(draw):
-    """1-3 edits, each to a random field of a random detection or
-    ground-truth segment record: a new value, a deleted key, or a record
-    replaced by a non-object."""
-    edits = []
-    for _ in range(draw(st.sampled_from([1, 1, 2, 3]))):
-        which = draw(st.sampled_from(sorted(RECORD_KEYS)))
-        record = draw(st.integers(0, 7))
-        action = draw(st.sampled_from(["set"] * 6 + ["delete", "replace"]))
-        key = draw(st.sampled_from(RECORD_KEYS[which]))
-        edits.append((which, record, action, key, draw(st.sampled_from(DAMAGE_VALUES[key]))))
-    return edits
-
-
-@pytest.fixture(scope="module")
-def manifest_scene(tmp_path_factory):
-    root = tmp_path_factory.mktemp("manifest") / "scene"
-    cfg = SynthConfig(n_instances=5, with_masks=True, box_truncation=0.2, box_jitter=1.0)
-    scene, gt = synth_scene(cfg, seed=21)
-    save_scene(scene, root, gt=gt, synth=cfg)
-    return root, json.loads((root / "manifest.json").read_text())
-
-
-def _manifest_outcome(read, root):
-    try:
-        m = read(root)
-    except FormatError as e:
-        return "error", str(e)
-    return "ok", (m.catalog, m.shape, [None if f is None else str(f) for f in m.cue_files],
-                  [(d.box, d.score, d.class_id) for d in m.detections],
-                  None if m.gt_labels is None else str(m.gt_labels), m.gt_segments)
-
-
-@settings(max_examples=300)
-@given(edits=manifest_damage())
-# An index equal to its position but not an int, which a list comparison
-# alone would pass.
-@example(edits=[("segments", 1, "set", "index", True)])
-@example(edits=[("segments", 2, "set", "index", 2.0)])
-def test_manifest_column_check_raises_the_first_fault_of_the_record_check(manifest_scene,
-                                                                          edits):
-    root, original = manifest_scene
-    manifest = json.loads(json.dumps(original))
-    for which, record, action, key, value in edits:
-        recs = manifest["detections"] if which == "detections" else \
-            manifest["ground_truth"]["segments"]
-        record %= len(recs)
-        if action == "replace":
-            recs[record] = value
-        elif action == "delete":
-            recs[record].pop(key, None) if isinstance(recs[record], dict) else None
-        elif isinstance(recs[record], dict):
-            recs[record][key] = value
-    (root / "manifest.json").write_text(json.dumps(manifest))
-    expected = _manifest_outcome(read_manifest_by_record, root)
-    assert _manifest_outcome(_read_manifest, root) == expected
-
-
-@pytest.mark.parametrize("root", ["s0", "./s0", "s0/", "/", ".", "a/b", "//x", "/abs/s0"])
-@pytest.mark.parametrize("name", ["m.panc", "", ".", "..", "sub/m.panc", "/abs/m.panc",
-                                  "./m.panc", "a//b.panc"])
-def test_manifest_file_names_join_as_paths_do(root, name):
-    assert _child(Path(root), str(Path(root)), name) == str(Path(root) / name)
