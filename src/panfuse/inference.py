@@ -91,6 +91,7 @@ def infer_panoptic(winners: np.ndarray, channel_meta: list[ChannelInfo]) -> Pano
     if winners.min() < 0 or winners.max() >= n:
         raise DimensionError(f"winning channels must lie in [0, {n}), "
                              f"the channels the metadata describes")
+    # numpy 1.x refuses to count a uint64 array, which the range check passes.
     areas = np.bincount(winners.ravel().astype(np.intp, copy=False), minlength=n)
     won = np.flatnonzero(areas)  # segments and instance ids follow channel order
     segment_of = np.full(n, VOID, dtype=np.int32)

@@ -103,7 +103,7 @@ class DensePotential:
 
     @property
     def n_channels(self) -> int:
-        return len(self.channels)
+        return self.psi.shape[2]
 
 
 def append_stuff_boxes(dets: list[Detection], catalog: ClassCatalog,
