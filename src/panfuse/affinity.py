@@ -162,8 +162,8 @@ def project_features(q: np.ndarray, params: AffinityParams) -> tuple[np.ndarray,
     """Apply both per-pixel projections: relu(q @ w + b) for each head."""
     q = _check_features(q, params)
     flat = q.reshape(-1, q.shape[2])
-    return (_project(flat, params.w0, params.b0).reshape(q.shape),
-            _project(flat, params.w1, params.b1).reshape(q.shape))
+    return (project_head(flat, params.w0, params.b0).reshape(q.shape),
+            project_head(flat, params.w1, params.b1).reshape(q.shape))
 
 
 def apply_affinity_factored(psi: np.ndarray, q0: np.ndarray, q1: np.ndarray) -> np.ndarray:
@@ -198,7 +198,8 @@ def _check_features(q: np.ndarray, params: AffinityParams) -> np.ndarray:
     return q
 
 
-def _project(flat: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def project_head(flat: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """One head's rectified projection of (pixels, c) features: relu(flat @ weight + bias)."""
     a = flat @ weight
     a += bias  # in place: one (pixels, c) array per head
     np.maximum(a, 0.0, out=a)
@@ -239,8 +240,8 @@ def logit_blocks(potential: DynamicPotential, features: np.ndarray,
         c = params.feature_dim
         inner = np.zeros((c, k), dtype=np.result_type(flat, params.w1, slab))
         for s, parts in zip(blocks, crossing):
-            q0.append(_project(flat[s], params.w0, params.b0))
-            q1 = _project(flat[s], params.w1, params.b1)
+            q0.append(project_head(flat[s], params.w0, params.b0))
+            q1 = project_head(flat[s], params.w1, params.b1)
             inner[:, :len(slab)] += (slab[:, s] @ q1).T
             q1 = q1.reshape(-1, w, c)
             for ch, ya, yb, x0, x1, region in parts:

@@ -24,13 +24,14 @@ import numpy as np
 from . import container
 from .affinity import AffinityParams, affinity_map_for_pixel, estimate_costs, project_features
 from .errors import CueError, FormatError, NumericError, PanfuseError, UsageError
-from .inference import MergerParams, heuristic_merge, load_panoptic, panoptic_from_ground_truth, save_panoptic, trim_small_stuff
-from .matching import match_segments
+from .inference import (EVAL_SCORE_THRESHOLD, MergerParams, PanopticMap, heuristic_merge, load_panoptic,
+                        panoptic_from_ground_truth, predict_panoptic, save_panoptic, trim_small_stuff)
+from .matching import MatchResult, match_segments
 from .metrics import PQStats, box_average_precision, class_pixel_counts, mean_iou, thing_stuff_confusion
 from .numerics import Bound
 from .potential import Variant, append_stuff_boxes
 from .scene import SynthConfig, load_scene, load_scene_records, save_scene, synth_scene
-from .train import DETECTIONS_SOURCES, EVAL_SCORE_THRESHOLD, PRESETS, TrainConfig, ablate, predict_panoptic, preset_configs, render_ablation_table, train_toy
+from .train import DETECTIONS_SOURCES, PRESETS, TrainConfig, ablate, preset_configs, render_ablation_table, train_toy
 
 EXIT_OK = 0
 
@@ -164,10 +165,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_one(args: argparse.Namespace, scene_path: str, out_path: str,
-             params: AffinityParams | None) -> dict:
+def _run_one(args: argparse.Namespace, scene_path: str, params: AffinityParams | None):
+    """One scene's outputs, not yet written: its map, and its match and affinity
+    map when asked for. The scene's cues are not kept."""
     scene, gt = load_scene(scene_path)
-    # Checked before anything is written, so a failure leaves no output.
     if args.dump_match and gt is None:
         raise CueError("--dump-match needs ground truth in the scene container")
     if params is not None and scene.features.shape[2] != params.feature_dim:
@@ -190,11 +191,24 @@ def _run_one(args: argparse.Namespace, scene_path: str, out_path: str,
                                     args.score_threshold)
         except NumericError as e:
             raise NumericError(f"scene {scene_path}: {e}") from None
-
     if args.trim > 0:
         pmap = trim_small_stuff(pmap, args.trim)
-    save_panoptic(pmap, out_path)
 
+    match = amap = None
+    if args.dump_match:
+        dets = append_stuff_boxes(scene.detections, scene.catalog,
+                                  scene.height, scene.width)
+        match = match_segments(gt, dets, args.match_threshold, scene.catalog)
+    if args.dump_affinity:
+        q0, q1 = project_features(scene.features, params)
+        amap = affinity_map_for_pixel(q0, q1, (row, col))
+    return pmap, match, amap
+
+
+def _write_run(args: argparse.Namespace, scene_path: str, out_path: str, pmap: PanopticMap,
+               match: MatchResult | None, amap: np.ndarray | None) -> dict:
+    """Write one scene's outputs to ``out_path``; returns its summary."""
+    save_panoptic(pmap, out_path)
     summary = {
         "scene": str(scene_path),
         "out": str(out_path),
@@ -202,17 +216,13 @@ def _run_one(args: argparse.Namespace, scene_path: str, out_path: str,
         "segments": len(pmap.segments),
         "void_pixels": int((pmap.label_map < 0).sum()),
     }
-    if args.dump_match:
-        dets = append_stuff_boxes(scene.detections, scene.catalog,
-                                  scene.height, scene.width)
-        match = match_segments(gt, dets, args.match_threshold, scene.catalog)
+    if match is not None:
         match_path = Path(out_path) / "match.json"
         container.write_file(match_path, json.dumps(match.to_json_dict(), indent=2,
                                                     sort_keys=True))
         summary["match"] = str(match_path)
-    if args.dump_affinity:
-        q0, q1 = project_features(scene.features, params)
-        amap = affinity_map_for_pixel(q0, q1, (row, col))
+    if amap is not None:
+        row, col = args.dump_affinity
         apath = Path(out_path) / f"affinity_{row}_{col}.panc"
         container.write_tensor(apath, amap)
         summary["affinity_map"] = str(apath)
@@ -232,17 +242,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.dump_affinity and not args.checkpoint:
         raise UsageError("--dump-affinity needs --checkpoint")
     params = AffinityParams.load(args.checkpoint) if args.checkpoint else None
-    summaries = [_run_one(args, scene, out, params)
-                 for scene, out in zip(args.scene, args.out)]
+    # Every scene is computed and every --out checked first: a failure writes nothing.
+    outputs = [_run_one(args, scene, params) for scene in args.scene]
+    for out in args.out:
+        _check_output(out, directory=True)
+    summaries = [_write_run(args, scene, out, *output)
+                 for scene, out, output in zip(args.scene, args.out, outputs)]
     for summary in summaries:
         print(json.dumps(summary))
     return EXIT_OK
 
 
 def _check_output(path: str, directory: bool) -> None:
-    """Raise, before any training, the OSError that writing the output
-    ``path`` would raise; create nothing. A ``directory`` is made with its
-    missing parents; a file needs its parent directory."""
+    """Raise, before any training or any write, the OSError that writing the
+    output ``path`` would raise; create nothing. A ``directory`` is made with
+    its missing parents; a file needs its parent directory."""
     p = Path(path)
     if directory:
         ancestor = next(a for a in (p, *p.parents) if a.exists())

@@ -1,10 +1,12 @@
 """Panoptic inference: unified argmax path and the heuristic-merger baseline.
 
 The argmax path labels every pixel with its strongest potential channel
-and never emits VOID. The heuristic merger pastes score-sorted instance
-masks with overlap resolution, fills leftovers with the stuff argmax,
-and voids small stuff regions - it exists as the baseline the argmax
-path is compared against, so all of its knobs are exposed.
+and never emits VOID; channel k is detection k, so a winning channel
+becomes a segment of its detection's class. The heuristic merger pastes
+score-sorted instance masks with overlap resolution, fills leftovers with
+the stuff argmax, and voids small stuff regions - it exists as the
+baseline the argmax path is compared against, so all of its knobs are
+exposed.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import container
+from .affinity import AffinityParams, fused_winners
 from .errors import CueError, DimensionError, FormatError
 from .numerics import SENTINEL_U32, VOID, bounded, check_bounds, require_tensor3
-from .potential import ChannelInfo
-from .scene import ClassCatalog, Detection, GroundTruthPanoptic
+from .potential import Variant, append_stuff_boxes, build_potential, filter_by_score
+from .scene import ClassCatalog, Detection, GroundTruthPanoptic, SceneCues
 
+EVAL_SCORE_THRESHOLD = 0.5
 _INSTANCE_ENCODING_BASE = 1000
 
 
@@ -67,38 +71,67 @@ class MergerParams:
         check_bounds(self, CueError)
 
 
-def _numbered(parts: list[tuple[int, str, int]]) -> list[Segment]:
-    """Segments from (class_id, kind, area) in segment order; things get
-    instance ids 1, 2, ... in that order and stuff gets 0."""
+def _numbered(parts: list[tuple[int, int]], catalog: ClassCatalog) -> list[Segment]:
+    """Segments from (class_id, area) in segment order, each of its class's
+    kind; things get instance ids 1, 2, ... in that order and stuff gets 0."""
     thing_ids = count(1)
-    return [Segment(index=i, class_id=class_id, kind=kind, area=area,
-                    instance_id=next(thing_ids) if kind == "thing" else 0)
-            for i, (class_id, kind, area) in enumerate(parts)]
+    things = [catalog.is_thing(class_id) for class_id, _ in parts]
+    return [Segment(index=i, class_id=class_id, kind="thing" if thing else "stuff", area=area,
+                    instance_id=next(thing_ids) if thing else 0)
+            for i, ((class_id, area), thing) in enumerate(zip(parts, things))]
 
 
-def infer_panoptic(winners: np.ndarray, channel_meta: list[ChannelInfo]) -> PanopticMap:
+def infer_panoptic(winners: np.ndarray, class_ids: list[int],
+                   catalog: ClassCatalog) -> PanopticMap:
     """Per-pixel winning channels collapsed to (class, instance) segments.
 
-    ``winners`` is an (h, w) grid of channel indices. Channels that win
-    nowhere produce no segment and use no instance id; every pixel is
-    assigned (the output contains zero VOID pixels).
+    ``winners`` is an (h, w) grid of channel indices; channel k is of class
+    ``class_ids[k]``. Channels that win nowhere produce no segment and use
+    no instance id; every pixel is assigned (the output contains zero VOID
+    pixels).
     """
     winners = np.asarray(winners)
     if winners.ndim != 2 or min(winners.shape) < 1 or winners.dtype.kind not in "iu":
         raise DimensionError(f"winning channels must be an (h, w) grid of integers, "
                              f"got {winners.dtype} of shape {winners.shape}")
-    n = len(channel_meta)
+    n = len(class_ids)
     if winners.min() < 0 or winners.max() >= n:
         raise DimensionError(f"winning channels must lie in [0, {n}), "
-                             f"the channels the metadata describes")
+                             f"the channels whose classes are given")
     # numpy 1.x refuses to count a uint64 array, which the range check passes.
     areas = np.bincount(winners.ravel().astype(np.intp, copy=False), minlength=n)
     won = np.flatnonzero(areas)  # segments and instance ids follow channel order
     segment_of = np.full(n, VOID, dtype=np.int32)
     segment_of[won] = np.arange(len(won))
-    segments = _numbered([(channel_meta[k].class_id, channel_meta[k].kind, int(areas[k]))
-                          for k in won.tolist()])
+    segments = _numbered([(class_ids[k], int(areas[k])) for k in won.tolist()], catalog)
     return PanopticMap(label_map=segment_of[winners], segments=segments)
+
+
+def panoptic_winners(scene: SceneCues, params: AffinityParams | None,
+                     variant: Variant = Variant.B,
+                     score_threshold: float = EVAL_SCORE_THRESHOLD,
+                     ) -> tuple[np.ndarray, list[Detection]]:
+    """The inference forward: filter, stuff boxes, potential, optional affinity,
+    argmax (``affinity.fused_winners``).
+
+    Returns each pixel's winning channel and the detections the channels
+    index (stuff pseudo-detections first). Without ``params`` the logits
+    are the potential itself. Finite but huge features can overflow the
+    affinity forward; that raises ``NumericError``.
+    """
+    dets = filter_by_score(scene.detections, score_threshold)
+    dets = append_stuff_boxes(dets, scene.catalog, scene.height, scene.width)
+    potential = build_potential(scene.semantic_probs, dets, variant, scene.catalog)
+    return fused_winners(potential, scene.features, params), dets
+
+
+def predict_panoptic(scene: SceneCues, params: AffinityParams | None,
+                     variant: Variant = Variant.B,
+                     score_threshold: float = EVAL_SCORE_THRESHOLD,
+                     ) -> PanopticMap:
+    """Inference pipeline: the forward of ``panoptic_winners``, then segments."""
+    winners, dets = panoptic_winners(scene, params, variant, score_threshold)
+    return infer_panoptic(winners, [d.class_id for d in dets], scene.catalog)
 
 
 def heuristic_merge(v: np.ndarray, dets: list[Detection], params: MergerParams,
@@ -127,7 +160,7 @@ def heuristic_merge(v: np.ndarray, dets: list[Detection], params: MergerParams,
     order = sorted(things, key=lambda item: (-item[1].score, item[0]))
     claimed = np.zeros((h, w), dtype=bool)
     label = np.full((h, w), VOID, dtype=np.int32)
-    parts: list[tuple[int, str, int]] = []
+    parts: list[tuple[int, int]] = []
     for _, det in order:
         if det.score < params.instance_score_threshold:
             continue
@@ -142,16 +175,16 @@ def heuristic_merge(v: np.ndarray, dets: list[Detection], params: MergerParams,
             continue
         label[remaining] = len(parts)
         claimed |= remaining
-        parts.append((det.class_id, "thing", area))
+        parts.append((det.class_id, area))
 
     stuff_fill = v[:, :, :catalog.n_stuff].argmax(axis=2)
     areas = np.bincount(stuff_fill[~claimed], minlength=catalog.n_stuff)
     stuff_segment = np.full(catalog.n_stuff, VOID, dtype=np.int32)  # sub-threshold stays VOID
     for class_id in np.flatnonzero(areas >= max(params.stuff_area_threshold, 1)).tolist():
         stuff_segment[class_id] = len(parts)
-        parts.append((class_id, "stuff", int(areas[class_id])))
+        parts.append((class_id, int(areas[class_id])))
     return PanopticMap(label_map=np.where(claimed, label, stuff_segment[stuff_fill]),
-                       segments=_numbered(parts))
+                       segments=_numbered(parts, catalog))
 
 
 def trim_small_stuff(pmap: PanopticMap, area_threshold: int) -> PanopticMap:
@@ -174,9 +207,8 @@ def panoptic_from_ground_truth(gt: GroundTruthPanoptic,
                                catalog: ClassCatalog) -> PanopticMap:
     """View ground truth as a PanopticMap for the metric suite; segment ``i``
     has index ``i``, as both loaders require."""
-    parts = [(s.class_id, "thing" if catalog.is_thing(s.class_id) else "stuff", s.area)
-             for s in gt.segments]
-    return PanopticMap(label_map=gt.label_map.copy(), segments=_numbered(parts))
+    return PanopticMap(label_map=gt.label_map.copy(),
+                       segments=_numbered([(s.class_id, s.area) for s in gt.segments], catalog))
 
 
 # ---------------------------------------------------------------------------

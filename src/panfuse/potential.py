@@ -44,14 +44,6 @@ class Variant(enum.Enum):
     C = "C"
 
 
-@dataclass(frozen=True)
-class ChannelInfo:
-    """Provenance of one potential channel."""
-
-    kind: str  # "stuff" | "thing"
-    class_id: int
-
-
 class Window(NamedTuple):
     """The nonzero part of one channel: rows ``y0:y1`` and columns ``x0:x1``."""
 
@@ -73,13 +65,9 @@ class DynamicPotential:
     """
 
     shape: tuple[int, int]  # (h, w)
-    channels: list[ChannelInfo]
+    n_channels: int  # one per detection
     slab: np.ndarray  # (leading full-grid channels, h * w), the dtype of psi
     windows: list[Window]
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.channels)
 
     @property
     def psi(self) -> np.ndarray:
@@ -99,7 +87,6 @@ class DensePotential:
     """A potential held as its dense tensor alone, as training reads it."""
 
     psi: np.ndarray  # (h, w, n_channels)
-    channels: list[ChannelInfo]
 
     @property
     def n_channels(self) -> int:
@@ -159,18 +146,14 @@ def build_potential(v: np.ndarray, dets: list[Detection], variant: Variant,
     # Each region is cast to the dtype of psi, as a write into a dense
     # tensor of that dtype would cast it.
     slab_regions, windows = [], []
-    channels: list[ChannelInfo] = []
     for k, det in enumerate(dets):
-        is_thing = catalog.is_thing(det.class_id)
-        channels.append(ChannelInfo(kind="thing" if is_thing else "stuff",
-                                    class_id=det.class_id))
         y0, x0 = det.box.y0, det.box.x0
         y1, x1 = min(det.box.y1, h), min(det.box.x1, w)
         if y0 >= y1 or x0 >= x1:  # wholly beyond the grid: an all-zero channel
             continue
         score = 1.0 if variant is Variant.A else det.score
         prob = v[y0:y1, x0:x1, det.class_id]
-        m = det.mask[y0:y1, x0:x1] if is_thing and masks_enabled else None
+        m = det.mask[y0:y1, x0:x1] if masks_enabled and catalog.is_thing(det.class_id) else None
         if variant is Variant.C:
             region = score * (prob + (m if m is not None else 0.0))
         else:  # A and B are multiplicative; absent mask is the identity
@@ -181,4 +164,4 @@ def build_potential(v: np.ndarray, dets: list[Detection], variant: Variant,
         else:
             windows.append(Window(k, y0, y1, x0, x1, region))
     slab = np.array(slab_regions, dtype=v.dtype).reshape(len(slab_regions), h * w)
-    return DynamicPotential(shape=(h, w), channels=channels, slab=slab, windows=windows)
+    return DynamicPotential(shape=(h, w), n_channels=len(dets), slab=slab, windows=windows)

@@ -13,18 +13,16 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .affinity import AffinityParams, fused_winners
+from .affinity import AffinityParams, project_head
 from .errors import CueError, NumericError
-from .inference import MergerParams, PanopticMap, heuristic_merge, infer_panoptic, panoptic_from_ground_truth
+from .inference import MergerParams, PanopticMap, heuristic_merge, panoptic_from_ground_truth, predict_panoptic
 from .matching import TargetMap, build_target_map, match_segments, panoptic_matching_loss, target_channels
 from .metrics import PQReport, PQStats
 from .numerics import bounded, channel_max, channel_sum, check_bounds, pixel_sum
-from .potential import (DensePotential, DynamicPotential, Variant, append_stuff_boxes,
-                        build_potential, filter_by_score)
+from .potential import DensePotential, Variant, append_stuff_boxes, build_potential
 from .scene import Detection, GroundTruthPanoptic, SceneCues, SynthConfig, synth_scene
 
 EVAL_SEED_OFFSET = 10_007
-EVAL_SCORE_THRESHOLD = 0.5
 # Where training scenes take their thing detections from.
 DETECTIONS_SOURCES = ("predicted", "ground_truth")
 # The ablations of `preset_configs`, one per directional claim of the paper.
@@ -139,8 +137,7 @@ def prepare_training_scene(scene: SceneCues, gt: GroundTruthPanoptic,
     potential = build_potential(scene.semantic_probs, [dets[i] for i in kept],
                                 variant, scene.catalog)
     target = build_target_map(gt, match, kept)
-    return SceneBundle(scene=scene, target=target,
-                       potential=DensePotential(potential.psi, potential.channels))
+    return SceneBundle(scene=scene, target=target, potential=DensePotential(potential.psi))
 
 
 def loss_and_grads(bundle: SceneBundle, params: AffinityParams,
@@ -166,10 +163,8 @@ def loss_and_grads(bundle: SceneBundle, params: AffinityParams,
                 np.zeros_like(params.w1), np.zeros_like(params.b1))
 
     # Forward: rectified projections, logits, shifted logits.
-    q0, q1 = features @ params.w0, features @ params.w1
-    for q, bias in ((q0, params.b0), (q1, params.b1)):
-        q += bias
-        np.maximum(q, 0.0, out=q)
+    q0 = project_head(features, params.w0, params.b0)
+    q1 = project_head(features, params.w1, params.b1)
     inner = q1.T @ psi
     g = q0 @ inner
     g += psi
@@ -208,33 +203,6 @@ def make_pool(cfg: TrainConfig) -> list[SceneBundle]:
 def make_eval_pool(cfg: TrainConfig) -> list[tuple[SceneCues, GroundTruthPanoptic]]:
     return [synth_scene(cfg.scene, seed=cfg.seed + EVAL_SEED_OFFSET + i)
             for i in range(cfg.eval_scenes)]
-
-
-def panoptic_winners(scene: SceneCues, params: AffinityParams | None,
-                     variant: Variant = Variant.B,
-                     score_threshold: float = EVAL_SCORE_THRESHOLD,
-                     ) -> tuple[np.ndarray, DynamicPotential, list[Detection]]:
-    """The inference forward: filter, stuff boxes, potential, optional affinity,
-    argmax (``affinity.fused_winners``).
-
-    Returns each pixel's winning channel, the potential and the detections
-    its channels index (stuff pseudo-detections first). Without ``params``
-    the logits are the potential itself. Finite but huge features can
-    overflow the affinity forward; that raises ``NumericError``.
-    """
-    dets = filter_by_score(scene.detections, score_threshold)
-    dets = append_stuff_boxes(dets, scene.catalog, scene.height, scene.width)
-    potential = build_potential(scene.semantic_probs, dets, variant, scene.catalog)
-    return fused_winners(potential, scene.features, params), potential, dets
-
-
-def predict_panoptic(scene: SceneCues, params: AffinityParams | None,
-                     variant: Variant = Variant.B,
-                     score_threshold: float = EVAL_SCORE_THRESHOLD,
-                     ) -> PanopticMap:
-    """Inference pipeline: the forward of ``panoptic_winners``, then segments."""
-    winners, potential, _ = panoptic_winners(scene, params, variant, score_threshold)
-    return infer_panoptic(winners, potential.channels)
 
 
 def evaluate_pq(pool: list[tuple[SceneCues, GroundTruthPanoptic]],

@@ -18,6 +18,7 @@ from panfuse.inference import (
     heuristic_merge,
     infer_panoptic,
     panoptic_from_ground_truth,
+    panoptic_winners,
     trim_small_stuff,
 )
 from panfuse.matching import box_iou, match_segments
@@ -38,7 +39,6 @@ from panfuse.scene import (
 from panfuse.train import (
     TrainConfig,
     make_eval_pool,
-    panoptic_winners,
     preset_configs,
     train_toy,
 )
@@ -229,7 +229,7 @@ def object_recovery(scene, gt, params, variant):
     assigns it to the channel of the detection matched to that segment;
     channel k is detection k.
     """
-    winners, _, dets = panoptic_winners(scene, params, variant)
+    winners, dets = panoptic_winners(scene, params, variant)
     match = match_segments(gt, dets, 0.1, scene.catalog)
     det_for_gt = {pair.gt_index: pair.detection_index for pair in match.pairs}
     fractions = []
@@ -314,7 +314,7 @@ def test_criterion_10_void_dichotomy():
 
     full = append_stuff_boxes(dets, catalog, h, w)
     pot = build_potential(v, full, Variant.B, catalog)
-    amax = infer_panoptic(argmax_channels(pot.psi), pot.channels)
+    amax = infer_panoptic(argmax_channels(pot.psi), [d.class_id for d in full], catalog)
     assert int((amax.label_map == VOID).sum()) == 0
     elapsed = time.time() - t0
     assert elapsed < 1
@@ -379,7 +379,7 @@ def test_criterion_12_determinism_and_io(tmp_path):
     assert r1.loss_curve == r2.loss_curve
     assert np.array_equal(r1.params.w0, r2.params.w0)
 
-    from panfuse.train import predict_panoptic
+    from panfuse.inference import predict_panoptic
 
     p1 = predict_panoptic(s1, r1.params)
     p2 = predict_panoptic(s1, r2.params)

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +23,16 @@ import panfuse
 from panfuse import cli, container, errors
 from panfuse.affinity import AffinityParams
 from panfuse.cli import main
-from panfuse.inference import load_panoptic, panoptic_from_ground_truth, save_panoptic
+from panfuse.inference import (PanopticMap, load_panoptic, panoptic_from_ground_truth,
+                               predict_panoptic, save_panoptic)
 from panfuse.metrics import class_pixel_counts, mean_iou
 from panfuse.numerics import VOID
 from panfuse.potential import Variant
 from panfuse.scene import (Box, ClassCatalog, Detection, GroundTruthPanoptic, GtSegment, SceneCues,
                            SynthConfig, load_scene, save_scene)
-from panfuse.train import PRESETS, TrainConfig, make_eval_pool, predict_panoptic, preset_configs
+from panfuse.train import PRESETS, TrainConfig, make_eval_pool, preset_configs
+
+from symmetry import predicted_scenes, relabelled
 
 
 def run_cli(*args):
@@ -273,6 +277,51 @@ def test_eval_perfect_prediction(tmp_path, capsys):
     payload = json.loads(json_out.read_text())
     assert payload["pq"]["aggregates"]["all"]["pq"] == 1.0
     assert payload["mean_iou"] == 1.0
+
+
+def relabelled_prediction(pmap, order, instance_ids):
+    """``pmap`` with segment ``order[i]`` renumbered ``i`` and its things given
+    the instance ids ``instance_ids`` in segment order."""
+    labels, segments = relabelled(pmap.label_map, pmap.segments, order)
+    ids = iter(instance_ids)
+    return PanopticMap(labels, [replace(s, instance_id=next(ids)) if s.kind == "thing" else s
+                                for s in segments])
+
+
+def eval_payload(scene, gt, pmap, root):
+    save_scene(scene, root / "scene", gt=gt)
+    save_panoptic(pmap, root / "pred")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli("eval", "--scene", str(root / "scene"), "--pred", str(root / "pred"),
+                       "--json", str(root / "eval.json")) == 0
+    return json.loads((root / "eval.json").read_text())
+
+
+@given(case=predicted_scenes(), data=st.data())
+def test_eval_does_not_depend_on_segment_ids(case, data):
+    scene, gt, pmap = case
+    n_things = sum(s.kind == "thing" for s in pmap.segments)
+    other = relabelled_prediction(
+        pmap, data.draw(st.permutations(range(len(pmap.segments)))),
+        data.draw(st.permutations(range(1, n_things + 1))))
+    labels, segments = relabelled(gt.label_map, gt.segments,
+                                  data.draw(st.permutations(range(len(gt.segments)))))
+    with tempfile.TemporaryDirectory() as tmp:
+        want = eval_payload(scene, gt, pmap, Path(tmp) / "a")
+        got = eval_payload(scene, GroundTruthPanoptic(labels, segments), other, Path(tmp) / "b")
+    # Counts are exact; iou_sum and what follows from it only to 1e-12
+    # relative, because its additions come in another order.
+    want_pq, got_pq = want.pop("pq"), got.pop("pq")
+    assert got == want
+    assert sorted(got_pq["per_class"]) == sorted(want_pq["per_class"])
+    for cid, row in want_pq["per_class"].items():
+        other_row = got_pq["per_class"][cid]
+        assert {k: other_row[k] for k in ("tp", "fp", "fn", "rq")} == \
+            {k: row[k] for k in ("tp", "fp", "fn", "rq")}
+        for key in ("iou_sum", "sq", "pq"):
+            assert other_row[key] == pytest.approx(row[key], rel=1e-12, abs=0)
+    for group, row in want_pq["aggregates"].items():
+        assert got_pq["aggregates"][group] == pytest.approx(row, rel=1e-12, abs=0)
 
 
 def test_costs_full_scale_configuration(capsys):
@@ -926,8 +975,39 @@ def test_run_stops_at_a_damaged_scene(tmp_path, capsys, three_scenes):
     captured = capsys.readouterr()
     assert str(three_scenes[1] / "mask_001.panc") in captured.err
     assert captured.out == ""
-    assert (outs[0] / "panoptic.panc").exists()
+    assert not outs[0].exists()  # a later scene's fault leaves no earlier output
     assert not outs[1].exists() and not outs[2].exists()
+
+
+def run_two_scenes(three_scenes, outs):
+    argv = ["run"]
+    for scene_dir, out in zip(three_scenes[:2], outs):
+        argv += ["--scene", str(scene_dir), "--out", str(out)]
+    return run_cli(*argv)
+
+
+def test_run_writes_nothing_when_a_later_scene_has_a_broken_magic(tmp_path, capsys,
+                                                                  three_scenes):
+    features = three_scenes[1] / "features.panc"
+    features.write_bytes(b"XANC" + features.read_bytes()[4:])
+    outs = [tmp_path / "qa", tmp_path / "qb"]
+    capsys.readouterr()
+    assert run_two_scenes(three_scenes, outs) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad magic in {features} (byte offset 0)\n"
+    assert captured.out == ""
+    assert not outs[0].exists() and not outs[1].exists()
+
+
+def test_run_writes_nothing_when_a_later_out_is_a_file(tmp_path, capsys, three_scenes):
+    outs = [tmp_path / "qa", tmp_path / "qb"]
+    outs[1].write_text("kept")
+    capsys.readouterr()
+    assert run_two_scenes(three_scenes, outs) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {outs[1]}: File exists\n"
+    assert captured.out == ""
+    assert not outs[0].exists() and outs[1].read_text() == "kept"
 
 
 def test_train_held_out_pq_equals_eval_of_the_same_predictions(tmp_path):

@@ -2,7 +2,7 @@
 
 ``affinity.logit_blocks`` and ``affinity.fused_winners`` are checked
 against the dense forward of ``tests/reference.py``, and
-``train.predict_panoptic`` against the symmetries of the pipeline: the
+``inference.predict_panoptic`` against the symmetries of the pipeline: the
 affinity has no spatial prior and the argmax is per pixel, so flipping or
 transposing a scene flips or transposes its class map, and reordering the
 thing detections changes no segment.
@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 
 from panfuse import affinity, cli
 from panfuse.affinity import AffinityParams, fused_winners, logit_blocks
+from panfuse.inference import EVAL_SCORE_THRESHOLD, predict_panoptic
 from panfuse.potential import Variant, append_stuff_boxes, build_potential, filter_by_score
 from panfuse.scene import (Box, ClassCatalog, Detection, SceneCues, SynthConfig, save_scene,
                            synth_scene)
-from panfuse.train import EVAL_SCORE_THRESHOLD, predict_panoptic
 
 from reference import argmax_channels, clear_winners, dense_logits
+from symmetry import flip_grid, flip_scene
 
 
 def random_params(rng, c, scale):
@@ -136,32 +137,6 @@ def test_overflow_in_the_last_block_alone_exits_4_naming_the_scene(tmp_path, cap
 # ---------------------------------------------------------------------------
 # Symmetries, through predict_panoptic
 # ---------------------------------------------------------------------------
-
-def flip_box(box, h, w, how):
-    if how == "horizontal":
-        return Box(w - box.x1, box.y0, w - box.x0, box.y1)
-    if how == "vertical":
-        return Box(box.x0, h - box.y1, box.x1, h - box.y0)
-    return Box(box.y0, box.x0, box.y1, box.x1)  # transpose
-
-
-def flip_grid(a, how):
-    if how == "horizontal":
-        return a[:, ::-1].copy()
-    if how == "vertical":
-        return a[::-1].copy()
-    axes = (1, 0, 2) if a.ndim == 3 else (1, 0)
-    return a.transpose(axes).copy()
-
-
-def flip_scene(scene, how):
-    h, w = scene.height, scene.width
-    dets = [Detection(flip_box(d.box, h, w, how), d.score, d.class_id,
-                      None if d.mask is None else flip_grid(d.mask, how))
-            for d in scene.detections]
-    return SceneCues(scene.catalog, flip_grid(scene.semantic_probs, how), dets,
-                     flip_grid(scene.features, how))
-
 
 @st.composite
 def symmetry_cases(draw):

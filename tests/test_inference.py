@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from panfuse.errors import CueError, DimensionError, FormatError
 from panfuse.inference import (
@@ -14,21 +16,22 @@ from panfuse.inference import (
     trim_small_stuff,
 )
 from panfuse.numerics import VOID
-from panfuse.potential import ChannelInfo, Variant, append_stuff_boxes, build_potential
+from panfuse.potential import Variant, append_stuff_boxes, build_potential
 from panfuse.scene import Box, ClassCatalog, Detection, SynthConfig, synth_scene
 
 from reference import argmax_channels
+from symmetry import flip_grid, flip_scene
 
 
-def stuff_channels(n):
-    return [ChannelInfo("stuff", i) for i in range(n)]
+# Classes 0 and 1 are stuff, class 2 is a thing.
+CATALOG = ClassCatalog(n_stuff=2, n_thing=1)
 
 
 def test_infer_stuff_partition():
     p = np.zeros((4, 4, 2))
     p[:, :2, 0] = 1.0
     p[:, 2:, 1] = 1.0
-    pmap = infer_panoptic(argmax_channels(p), stuff_channels(2))
+    pmap = infer_panoptic(argmax_channels(p), [0, 1], CATALOG)
     assert len(pmap.segments) == 2
     assert {s.class_id: s.area for s in pmap.segments} == {0: 8, 1: 8}
     assert (pmap.label_map >= 0).all()
@@ -39,8 +42,7 @@ def test_infer_two_disjoint_things():
     p[:, :, 0] = 0.1
     p[:2, :3, 1] = 1.0
     p[2:, 3:, 2] = 1.0
-    meta = [ChannelInfo("stuff", 0), ChannelInfo("thing", 1), ChannelInfo("thing", 1)]
-    pmap = infer_panoptic(argmax_channels(p), meta)
+    pmap = infer_panoptic(argmax_channels(p), [0, 2, 2], CATALOG)
     things = [s for s in pmap.segments if s.kind == "thing"]
     assert sorted(s.area for s in things) == [6, 6]
     assert sorted(s.instance_id for s in things) == [1, 2]
@@ -57,14 +59,14 @@ def test_infer_two_disjoint_things():
 ], ids=["1d", "empty", "float", "negative", "past-end", "huge", "huge-uint64"])
 def test_infer_refuses_what_is_not_a_grid_of_channels(winners):
     with pytest.raises(DimensionError, match="winning channels must"):
-        infer_panoptic(winners, stuff_channels(2))
+        infer_panoptic(winners, [0, 1], CATALOG)
 
 
 def test_infer_takes_any_integer_dtype():
     grid = np.array([[0, 1], [1, 1]])
-    want = infer_panoptic(grid, stuff_channels(2))
+    want = infer_panoptic(grid, [0, 1], CATALOG)
     for dtype in (np.uint8, np.int32, np.uint64):
-        got = infer_panoptic(grid.astype(dtype), stuff_channels(2))
+        got = infer_panoptic(grid.astype(dtype), [0, 1], CATALOG)
         assert np.array_equal(got.label_map, want.label_map) and got.segments == want.segments
 
 
@@ -74,8 +76,7 @@ def test_instance_ids_count_only_winning_thing_channels(tmp_path):
     p[:, :, 0] = 0.5
     p[:2, :2, 1] = 1.0
     p[2:, 2:, 1001] = 1.0
-    meta = [ChannelInfo("stuff", 0)] + [ChannelInfo("thing", 1)] * 1001
-    pmap = infer_panoptic(argmax_channels(p), meta)
+    pmap = infer_panoptic(argmax_channels(p), [0] + [2] * 1001, CATALOG)
     things = [s for s in pmap.segments if s.kind == "thing"]
     assert [s.instance_id for s in things] == [1, 2]
     save_panoptic(pmap, tmp_path / "pred")
@@ -88,7 +89,7 @@ def test_save_refuses_1000_thing_segments_before_creating_anything(tmp_path):
     p = np.zeros((32, 32, 1001))
     p[:, :, 0] = 0.5
     p.reshape(1024, 1001)[np.arange(1000), np.arange(1, 1001)] = 1.0
-    pmap = infer_panoptic(argmax_channels(p), [ChannelInfo("stuff", 0)] + [ChannelInfo("thing", 1)] * 1000)
+    pmap = infer_panoptic(argmax_channels(p), [0] + [2] * 1000, CATALOG)
     assert max(s.instance_id for s in pmap.segments) == 1000
     out = tmp_path / "pred"
     with pytest.raises(FormatError, match=re.escape(
@@ -104,7 +105,7 @@ def test_infer_never_emits_void():
     dets = append_stuff_boxes(scene.detections, scene.catalog,
                               scene.height, scene.width)
     pot = build_potential(scene.semantic_probs, dets, Variant.B, scene.catalog)
-    pmap = infer_panoptic(argmax_channels(pot.psi), pot.channels)
+    pmap = infer_panoptic(argmax_channels(pot.psi), [d.class_id for d in dets], scene.catalog)
     assert int((pmap.label_map == VOID).sum()) == 0
 
 
@@ -214,6 +215,50 @@ def test_merge_deterministic_score_ties():
     assert np.array_equal(a.label_map, b.label_map)
     # Tie broken by detection index: the first claims, the second is dropped.
     assert len([s for s in a.segments if s.kind == "thing"]) == 1
+
+
+# The merger has no spatial prior and orders instances by score alone, so
+# flipping or transposing cues, boxes and masks flips or transposes its map,
+# and reordering detections of distinct scores changes nothing.
+
+@st.composite
+def merge_cases(draw):
+    h, w = draw(st.sampled_from([(12, 30), (40, 20), (33, 33)]))
+    cfg = SynthConfig(height=h, width=w, n_instances=draw(st.integers(0, 5)),
+                      instance_min=3, instance_max=7, with_masks=True,
+                      box_truncation=draw(st.sampled_from([0.0, 0.3])),
+                      box_jitter=draw(st.sampled_from([0.0, 1.0])),
+                      mask_noise=draw(st.sampled_from([0.0, 0.2])))
+    scene = synth_scene(cfg, draw(st.integers(0, 10_000)))[0]
+    params = MergerParams(draw(st.sampled_from([0.0, 0.5, 0.9])),
+                          draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
+                          draw(st.sampled_from([0, 8, 64])))
+    return scene, params
+
+
+def merge(scene, params, dets=None):
+    return heuristic_merge(scene.semantic_probs, scene.detections if dets is None else dets,
+                           params, scene.catalog)
+
+
+@pytest.mark.parametrize("how", ["horizontal", "vertical", "transpose"])
+@given(case=merge_cases())
+def test_flipping_a_scene_flips_its_merged_map(how, case):
+    scene, params = case
+    pmap, flipped = merge(scene, params), merge(flip_scene(scene, how), params)
+    assert np.array_equal(flipped.label_map, flip_grid(pmap.label_map, how))
+    assert flipped.segments == pmap.segments
+
+
+@given(case=merge_cases(), data=st.data())
+def test_reordering_detections_of_distinct_scores_changes_no_merged_segment(case, data):
+    scene, params = case
+    assume(len({d.score for d in scene.detections}) == len(scene.detections))
+    order = data.draw(st.permutations(range(len(scene.detections))))
+    pmap = merge(scene, params)
+    other = merge(scene, params, [scene.detections[i] for i in order])
+    assert np.array_equal(other.label_map, pmap.label_map)
+    assert other.segments == pmap.segments
 
 
 def test_trim_identity_at_zero():

@@ -23,9 +23,9 @@ from panfuse.metrics import (
     _interpolated_ap,
 )
 from panfuse.numerics import VOID
-from panfuse.potential import ChannelInfo
 from panfuse.scene import Box, ClassCatalog, Detection, SynthConfig, synth_scene
 from reference import argmax_channels, interpolated_ap
+from symmetry import predicted_scenes, relabelled
 
 
 def pmap_from_grid(grid, classes, kinds):
@@ -393,25 +393,26 @@ def reference_accumulate(stats: PQStats, pred: PanopticMap, gt: PanopticMap) -> 
     return stats
 
 
-def reference_infer_panoptic(p, channel_meta):
+def reference_infer_panoptic(p, class_ids, catalog):
     winners = argmax_channels(p)
     label = np.full(p.shape[:2], VOID, dtype=np.int32)
     segments = []
     next_instance = 1
-    for k, info in enumerate(channel_meta):
+    for k, class_id in enumerate(class_ids):
         pixels = winners == k
         area = int(pixels.sum())
         if area == 0:
             continue
-        if info.kind == "thing":
+        kind = "thing" if class_id >= catalog.n_stuff else "stuff"
+        if kind == "thing":
             instance_id = next_instance
             next_instance += 1
         else:
             instance_id = 0
         index = len(segments)
         label[pixels] = index
-        segments.append(Segment(index=index, class_id=info.class_id,
-                                kind=info.kind, area=area, instance_id=instance_id))
+        segments.append(Segment(index=index, class_id=class_id,
+                                kind=kind, area=area, instance_id=instance_id))
     return PanopticMap(label_map=label, segments=segments)
 
 
@@ -513,6 +514,28 @@ def test_scene_by_scene_totals_equal_references(case):
     assert confusion.dtype == expected.dtype and np.array_equal(confusion, expected)
 
 
+def assert_same_counts(got, want):
+    """Per class the same tp, fp and fn, and iou_sum to 1e-12 relative: its
+    additions come in another order."""
+    assert sorted(got) == sorted(want)
+    for cid, stats in want.items():
+        assert (got[cid].tp, got[cid].fp, got[cid].fn) == (stats.tp, stats.fp, stats.fn)
+        assert got[cid].iou_sum == pytest.approx(stats.iou_sum, rel=1e-12, abs=0)
+
+
+@given(scenes=st.lists(predicted_scenes(), min_size=1, max_size=3), data=st.data())
+def test_relabelling_segment_ids_changes_no_count(scenes, data):
+    stats, other = PQStats(), PQStats()
+    for scene, gt, pred in scenes:
+        gt = panoptic_from_ground_truth(gt, scene.catalog)
+        stats.accumulate(pred, gt)
+        pred_order = data.draw(st.permutations(range(len(pred.segments))))
+        gt_order = data.draw(st.permutations(range(len(gt.segments))))
+        other.accumulate(PanopticMap(*relabelled(pred.label_map, pred.segments, pred_order)),
+                         PanopticMap(*relabelled(gt.label_map, gt.segments, gt_order)))
+    assert_same_counts(other.per_class, stats.per_class)
+
+
 @st.composite
 def class_maps(draw):
     catalog = draw(catalogs)
@@ -536,18 +559,19 @@ def test_class_table_scores_equal_per_class_scans(case):
 @st.composite
 def logits_and_channels(draw):
     shape = draw(grid_shapes)
-    kinds = draw(st.lists(st.sampled_from(["stuff", "thing"]), min_size=1, max_size=8))
-    meta = [ChannelInfo(kind, draw(st.integers(0, 5))) for kind in kinds]
+    catalog = ClassCatalog(draw(st.integers(1, 3)), draw(st.integers(0, 3)))
+    class_ids = draw(st.lists(st.integers(0, catalog.n_classes - 1), min_size=1, max_size=8))
     # Few distinct values, so ties and channels that win nowhere are common.
-    p = draw(hnp.arrays(np.float64, shape + (len(meta),),
+    p = draw(hnp.arrays(np.float64, shape + (len(class_ids),),
                         elements=st.sampled_from([0.0, 0.5, 1.0, 2.0])))
-    return p, meta
+    return p, class_ids, catalog
 
 
 @given(logits_and_channels())
 def test_infer_panoptic_equals_per_channel_scan(case):
-    p, meta = case
-    got, expected = infer_panoptic(argmax_channels(p), meta), reference_infer_panoptic(p, meta)
+    p, class_ids, catalog = case
+    got = infer_panoptic(argmax_channels(p), class_ids, catalog)
+    expected = reference_infer_panoptic(p, class_ids, catalog)
     assert got.label_map.dtype == expected.label_map.dtype
     assert np.array_equal(got.label_map, expected.label_map)
     assert got.segments == expected.segments

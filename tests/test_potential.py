@@ -155,7 +155,6 @@ def test_off_grid_box_keeps_an_all_zero_channel_at_its_index():
     dets = append_stuff_boxes(things, catalog, 2, 2)
     pot = build_potential(v, dets, Variant.B, catalog)
     assert pot.n_channels == 3
-    assert [c.class_id for c in pot.channels] == [0, 1, 1]
     assert not pot.psi[:, :, 1].any()
     assert pot.psi[0, 0, 2] == 0.8 * 0.5
 
@@ -201,7 +200,7 @@ def test_build_potential_equals_planes_reference(variant, masks, dtype):
     assert got.psi.dtype == psi.dtype and got.psi.shape == psi.shape
     assert got.psi.tobytes() == psi.tobytes()
     assert got.psi.flags.c_contiguous
-    assert [c.class_id for c in got.channels] == [d.class_id for d in dets]
+    assert got.n_channels == len(dets)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -212,4 +211,4 @@ def test_build_potential_zero_channels(dtype):
     psi = planes_reference(v, [], Variant.B, catalog)
     assert got.psi.shape == psi.shape == (4, 5, 0)
     assert got.psi.dtype == psi.dtype == dtype
-    assert got.channels == []
+    assert got.n_channels == 0

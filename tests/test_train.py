@@ -283,7 +283,7 @@ def test_prepare_training_scene_drops_duplicates_before_the_potential():
         # A removed duplicate has no channel; every kept detection has its own.
         full = build_potential(scene.semantic_probs, dets, Variant.B, scene.catalog)
         assert bundle.potential.psi.tobytes() == full.psi[:, :, kept].tobytes()
-        assert bundle.potential.channels == [full.channels[i] for i in kept]
+        assert bundle.potential.n_channels == len(kept)
         # The target points at the kept positions of the matched detections.
         expected = np.full_like(gt.label_map, IGNORE)
         for pair in match.pairs:
