@@ -82,19 +82,15 @@ class AffinityParams:
         )
 
     def save(self, path: str | Path) -> None:
-        root = Path(path)
-        root.mkdir(parents=True, exist_ok=True)
-        for name in ("w0", "b0", "w1", "b1"):
-            container.write_tensor(root / f"{name}.panc", getattr(self, name))
-        manifest = {
+        files = {f"{name}.panc": getattr(self, name) for name in ("w0", "b0", "w1", "b1")}
+        files["params.json"] = {
             "format": "panfuse-affinity-params",
             "version": 1,
             "feature_dim": int(self.feature_dim),
             "activation": "rectifier",
             "tensors": {n: f"{n}.panc" for n in ("w0", "b0", "w1", "b1")},
         }
-        container.write_file(root / "params.json",
-                             json.dumps(manifest, indent=2, sort_keys=True))
+        container.write_files(path, files)
 
     @classmethod
     def load(cls, path: str | Path) -> "AffinityParams":

@@ -24,9 +24,9 @@ import numpy as np
 from . import container
 from .affinity import AffinityParams, affinity_map_for_pixel, estimate_costs, project_features
 from .errors import CueError, FormatError, NumericError, PanfuseError, UsageError
-from .inference import (EVAL_SCORE_THRESHOLD, MergerParams, PanopticMap, heuristic_merge, load_panoptic,
-                        panoptic_from_ground_truth, predict_panoptic, save_panoptic, trim_small_stuff)
-from .matching import MatchResult, match_segments
+from .inference import (EVAL_SCORE_THRESHOLD, MergerParams, heuristic_merge, load_panoptic,
+                        panoptic_files, panoptic_from_ground_truth, predict_panoptic, trim_small_stuff)
+from .matching import match_segments
 from .metrics import PQStats, box_average_precision, class_pixel_counts, mean_iou, thing_stuff_confusion
 from .numerics import Bound
 from .potential import Variant, append_stuff_boxes
@@ -165,9 +165,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_one(args: argparse.Namespace, scene_path: str, params: AffinityParams | None):
-    """One scene's outputs, not yet written: its map, and its match and affinity
-    map when asked for. The scene's cues are not kept."""
+def _run_one(args: argparse.Namespace, scene_path: str, out_path: str,
+             params: AffinityParams | None) -> tuple[dict, dict]:
+    """One scene's output files, encoded but not written, and its summary: its
+    map, and its match and affinity map when asked for. The scene's cues are
+    not kept."""
     scene, gt = load_scene(scene_path)
     if args.dump_match and gt is None:
         raise CueError("--dump-match needs ground truth in the scene container")
@@ -194,39 +196,21 @@ def _run_one(args: argparse.Namespace, scene_path: str, params: AffinityParams |
     if args.trim > 0:
         pmap = trim_small_stuff(pmap, args.trim)
 
-    match = amap = None
+    files = panoptic_files(pmap, out_path)
+    summary = {"scene": str(scene_path), "out": str(out_path), "mode": args.mode,
+               "segments": len(pmap.segments), "void_pixels": int((pmap.label_map < 0).sum())}
     if args.dump_match:
         dets = append_stuff_boxes(scene.detections, scene.catalog,
                                   scene.height, scene.width)
         match = match_segments(gt, dets, args.match_threshold, scene.catalog)
+        files["match.json"] = match.to_json_dict()
+        summary["match"] = str(Path(out_path) / "match.json")
     if args.dump_affinity:
         q0, q1 = project_features(scene.features, params)
-        amap = affinity_map_for_pixel(q0, q1, (row, col))
-    return pmap, match, amap
-
-
-def _write_run(args: argparse.Namespace, scene_path: str, out_path: str, pmap: PanopticMap,
-               match: MatchResult | None, amap: np.ndarray | None) -> dict:
-    """Write one scene's outputs to ``out_path``; returns its summary."""
-    save_panoptic(pmap, out_path)
-    summary = {
-        "scene": str(scene_path),
-        "out": str(out_path),
-        "mode": args.mode,
-        "segments": len(pmap.segments),
-        "void_pixels": int((pmap.label_map < 0).sum()),
-    }
-    if match is not None:
-        match_path = Path(out_path) / "match.json"
-        container.write_file(match_path, json.dumps(match.to_json_dict(), indent=2,
-                                                    sort_keys=True))
-        summary["match"] = str(match_path)
-    if amap is not None:
-        row, col = args.dump_affinity
-        apath = Path(out_path) / f"affinity_{row}_{col}.panc"
-        container.write_tensor(apath, amap)
-        summary["affinity_map"] = str(apath)
-    return summary
+        name = f"affinity_{row}_{col}.panc"
+        files[name] = affinity_map_for_pixel(q0, q1, (row, col))
+        summary["affinity_map"] = str(Path(out_path) / name)
+    return files, summary
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -242,13 +226,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.dump_affinity and not args.checkpoint:
         raise UsageError("--dump-affinity needs --checkpoint")
     params = AffinityParams.load(args.checkpoint) if args.checkpoint else None
-    # Every scene is computed and every --out checked first: a failure writes nothing.
-    outputs = [_run_one(args, scene, params) for scene in args.scene]
+    # Every scene is computed and encoded and every --out checked first, so
+    # only an I/O fault can stop the writes.
+    outputs = [_run_one(args, scene, out, params) for scene, out in zip(args.scene, args.out)]
     for out in args.out:
         _check_output(out, directory=True)
-    summaries = [_write_run(args, scene, out, *output)
-                 for scene, out, output in zip(args.scene, args.out, outputs)]
-    for summary in summaries:
+    for out, (files, _) in zip(args.out, outputs):
+        container.write_files(out, files)
+    for _, summary in outputs:
         print(json.dumps(summary))
     return EXIT_OK
 
@@ -274,9 +259,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     scene = _config(SynthConfig, args, _SYNTH_FLAGS)
     report = train_toy(_config(TrainConfig, args, _TRAIN_FLAGS, scene=scene))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    container.write_file(out / "report.json",
-                         json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+    container.write_files(out, {"report.json": report.to_json_dict()})
     report.params.save(out / "checkpoint")
     print(json.dumps({
         "out": str(out),
@@ -339,7 +322,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "scenes": len(aps),
     }
     if args.json:
-        container.write_file(args.json, json.dumps(payload, indent=2, sort_keys=True))
+        container.write_json(args.json, payload)
     print(json.dumps(payload) if args.porcelain else report.render_table(catalog))
     print(f"mean IoU: {payload['mean_iou']:.4f}   box AP: {payload['box_ap']:.4f}")
     return EXIT_OK
@@ -366,7 +349,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     rows = ablate(configs, labels)
     payload = [r.to_json_dict() for r in rows]
     if args.json:
-        container.write_file(args.json, json.dumps(payload, indent=2, sort_keys=True))
+        container.write_json(args.json, payload)
     print(render_ablation_table(rows))
     return EXIT_OK
 

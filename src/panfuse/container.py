@@ -13,7 +13,8 @@ Errors report the byte offset at which parsing failed.
 
 Directories of PANC files (scenes, checkpoints) are described by a JSON
 manifest; ``read_manifest`` and ``manifest_value`` check its schema and
-name the file and the key path of any fault.
+name the file and the key path of any fault. Every output file is written
+by ``write_files`` or ``write_json``, after its command has encoded it.
 """
 
 from __future__ import annotations
@@ -88,6 +89,24 @@ def write_tensor(path: str | Path, arr: np.ndarray) -> None:
     header = MAGIC + struct.pack("<HBB", VERSION, _CODES[dt], arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     write_file(path, header + arr.astype(dt, copy=False).tobytes(order="C"))
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write a JSON file in the one style of every output file."""
+    write_file(path, json.dumps(obj, indent=2, sort_keys=True))
+
+
+def write_files(root: str | Path, files: dict) -> None:
+    """Make the directory ``root`` with its parents, then write each of
+    ``files`` (name -> array or JSON object) in order: an array as a PANC
+    tensor, anything else as JSON."""
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    for name, value in files.items():
+        if isinstance(value, np.ndarray):
+            write_tensor(root / name, value)
+        else:
+            write_json(root / name, value)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ exposed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from itertools import count
 from pathlib import Path
@@ -215,21 +214,19 @@ def panoptic_from_ground_truth(gt: GroundTruthPanoptic,
 # Container IO: u32 grid of class_id * 1000 + instance_id, plus a sidecar.
 # ---------------------------------------------------------------------------
 
-def save_panoptic(pmap: PanopticMap, path: str | Path) -> None:
-    """Write the grid and its sidecar; the ids are checked before anything
-    is created, so a map with more than 999 thing segments leaves no output."""
-    root = Path(path)
+def panoptic_files(pmap: PanopticMap, path: str | Path) -> dict:
+    """The grid and its sidecar, to be written to the directory ``path``
+    with ``container.write_files``. A map with more than 999 thing segments
+    is refused here, before anything is written."""
     encode = np.full(len(pmap.segments) + 1, SENTINEL_U32, dtype=np.uint32)
     for s in pmap.segments:
         if s.instance_id >= _INSTANCE_ENCODING_BASE:
             raise FormatError(
-                f"{root / 'panoptic.panc'}: instance id {s.instance_id} exceeds the "
+                f"{Path(path) / 'panoptic.panc'}: instance id {s.instance_id} exceeds the "
                 f"u32 encoding base; a map holds at most "
                 f"{_INSTANCE_ENCODING_BASE - 1} thing segments"
             )
         encode[s.index] = s.encoded_id
-    root.mkdir(parents=True, exist_ok=True)
-    container.write_tensor(root / "panoptic.panc", encode[pmap.label_map])
     sidecar = {
         "format": "panfuse-panoptic",
         "version": 1,
@@ -240,7 +237,7 @@ def save_panoptic(pmap: PanopticMap, path: str | Path) -> None:
             for s in pmap.segments
         ],
     }
-    container.write_file(root / "segments.json", json.dumps(sidecar, indent=2, sort_keys=True))
+    return {"panoptic.panc": encode[pmap.label_map], "segments.json": sidecar}
 
 
 def load_panoptic(path: str | Path) -> PanopticMap:
@@ -261,8 +258,13 @@ def load_panoptic(path: str | Path) -> PanopticMap:
         area = value(s, "area", int, spath, at)
         if area < 1:  # no writer emits a segment without pixels
             raise FormatError(f"{spath}: key {at}.area must be >= 1, got {area}")
-        segments.append(Segment(index=index, class_id=class_id, kind=kind, area=area,
-                                instance_id=value(s, "instance_id", int, spath, at)))
+        segment = Segment(index=index, class_id=class_id, kind=kind, area=area,
+                          instance_id=value(s, "instance_id", int, spath, at))
+        encoded_id = value(s, "encoded_id", int, spath, at, optional=True)
+        if encoded_id not in (None, segment.encoded_id):
+            raise FormatError(f"{spath}: key {at}.encoded_id must be {segment.encoded_id}, "
+                              f"class_id * 1000 + instance_id, got {encoded_id}")
+        segments.append(segment)
     gpath = root / "panoptic.panc"
     grid = container.read_tensor(gpath)
     if grid.dtype != np.uint32 or grid.ndim != 2:

@@ -11,7 +11,6 @@ tensor file per array (see :mod:`panfuse.container`).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -403,10 +402,7 @@ def save_scene(scene: SceneCues, path: str | Path,
                gt: GroundTruthPanoptic | None = None,
                synth: SynthConfig | None = None) -> None:
     """Write a scene directory (manifest.json plus PANC tensors)."""
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    container.write_tensor(root / "semantic_probs.panc", scene.semantic_probs)
-    container.write_tensor(root / "features.panc", scene.features)
+    files = {"semantic_probs.panc": scene.semantic_probs, "features.panc": scene.features}
     det_records = []
     for i, det in enumerate(scene.detections):
         rec = {
@@ -417,7 +413,7 @@ def save_scene(scene: SceneCues, path: str | Path,
         }
         if det.mask is not None:
             name = f"mask_{i:03d}.panc"
-            container.write_tensor(root / name, det.mask)
+            files[name] = det.mask
             rec["mask"] = name
         det_records.append(rec)
     manifest = {
@@ -436,8 +432,7 @@ def save_scene(scene: SceneCues, path: str | Path,
     }
     if gt is not None:
         # IGNORE (-1) is stored as SENTINEL_U32; the loader views it back.
-        container.write_tensor(root / "gt_labels.panc",
-                               gt.label_map.astype(np.int32, copy=False).view(np.uint32))
+        files["gt_labels.panc"] = gt.label_map.astype(np.int32, copy=False).view(np.uint32)
         manifest["ground_truth"] = {
             "label_map": "gt_labels.panc",
             "segments": [
@@ -446,7 +441,8 @@ def save_scene(scene: SceneCues, path: str | Path,
                 for s in gt.segments
             ],
         }
-    container.write_file(root / _MANIFEST, json.dumps(manifest, indent=2, sort_keys=True))
+    files[_MANIFEST] = manifest  # after the files it names
+    container.write_files(path, files)
 
 
 @dataclass

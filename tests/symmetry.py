@@ -1,9 +1,9 @@
 """Changes of a scene or a map that the pipeline must follow or ignore.
 
-Flips and transposes of a scene's grids and boxes: ``how`` is
-"horizontal" (columns reversed), "vertical" (rows reversed) or
-"transpose" (rows and columns swapped). Relabelled segment ids, and the
-predicted scenes whose maps the tests relabel.
+Flips and transposes of the grids and boxes of a scene or of its ground
+truth: ``how`` is "horizontal" (columns reversed), "vertical" (rows
+reversed) or "transpose" (rows and columns swapped). Relabelled segment
+ids, and the predicted scenes whose maps the tests relabel.
 """
 
 from dataclasses import replace
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from panfuse.inference import MergerParams, heuristic_merge, predict_panoptic
 from panfuse.numerics import VOID
-from panfuse.scene import Box, Detection, SceneCues, SynthConfig, synth_scene
+from panfuse.scene import Box, Detection, GroundTruthPanoptic, SceneCues, SynthConfig, synth_scene
 
 
 def flip_box(box, h, w, how):
@@ -40,6 +40,12 @@ def flip_scene(scene, how):
             for d in scene.detections]
     return SceneCues(scene.catalog, flip_grid(scene.semantic_probs, how), dets,
                      flip_grid(scene.features, how))
+
+
+def flip_ground_truth(gt, how):
+    h, w = gt.label_map.shape
+    return GroundTruthPanoptic(flip_grid(gt.label_map, how),
+                               [replace(s, box=flip_box(s.box, h, w, how)) for s in gt.segments])
 
 
 def relabelled(labels, segments, order):

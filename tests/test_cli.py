@@ -23,8 +23,8 @@ import panfuse
 from panfuse import cli, container, errors
 from panfuse.affinity import AffinityParams
 from panfuse.cli import main
-from panfuse.inference import (PanopticMap, load_panoptic, panoptic_from_ground_truth,
-                               predict_panoptic, save_panoptic)
+from panfuse.inference import (PanopticMap, load_panoptic, panoptic_files,
+                               panoptic_from_ground_truth, predict_panoptic)
 from panfuse.metrics import class_pixel_counts, mean_iou
 from panfuse.numerics import VOID
 from panfuse.potential import Variant
@@ -267,10 +267,9 @@ def test_eval_perfect_prediction(tmp_path, capsys):
     scene_dir = tmp_path / "scene"
     assert run_cli(*synth_args(scene_dir)) == 0
     # Build the prediction directly from ground truth.
-    from panfuse.inference import panoptic_from_ground_truth, save_panoptic
-
     scene, gt = load_scene(scene_dir)
-    save_panoptic(panoptic_from_ground_truth(gt, scene.catalog), tmp_path / "pred")
+    pmap = panoptic_from_ground_truth(gt, scene.catalog)
+    container.write_files(tmp_path / "pred", panoptic_files(pmap, tmp_path / "pred"))
     json_out = tmp_path / "eval.json"
     assert run_cli("eval", "--scene", str(scene_dir), "--pred", str(tmp_path / "pred"),
                    "--json", str(json_out)) == 0
@@ -290,7 +289,7 @@ def relabelled_prediction(pmap, order, instance_ids):
 
 def eval_payload(scene, gt, pmap, root):
     save_scene(scene, root / "scene", gt=gt)
-    save_panoptic(pmap, root / "pred")
+    container.write_files(root / "pred", panoptic_files(pmap, root / "pred"))
     with contextlib.redirect_stdout(io.StringIO()):
         assert run_cli("eval", "--scene", str(root / "scene"), "--pred", str(root / "pred"),
                        "--json", str(root / "eval.json")) == 0
@@ -678,6 +677,14 @@ def _stuff_as_class_99(sidecar, pred):
     return json.dumps(sidecar)
 
 
+def _renumber_segment_0(sidecar, _):
+    """Gives segment 0 (stuff) instance id 7 and its encoded id to match, so
+    the grid's id 0 belongs to no segment."""
+    seg = sidecar["segments"][0]
+    seg["instance_id"] = seg["encoded_id"] = 7
+    return json.dumps(sidecar)
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda *_: "[1, 2]", "{spath}: expected a JSON object, got a list"),
     (lambda *_: '{"format": "panfuse-panoptic"', "unparseable manifest in {pred}"),
@@ -698,10 +705,14 @@ def _stuff_as_class_99(sidecar, pred):
     (_stuff_as_class_99, "{spath}: key segments[0].class_id: 99 is outside the catalog"),
     (lambda *_: '{"format": "panfuse-panoptic", "version": 2, "segments": []}',
      "{spath}: key version must be 1, got 2"),
-    (_set("segments", 0, "instance_id", 7), "{pred}/panoptic.panc: encoded id "),
+    (_renumber_segment_0, "{pred}/panoptic.panc: encoded id 0 is missing from {spath}"),
+    (_set("segments", 0, "encoded_id", 12345),
+     "{spath}: key segments[0].encoded_id must be 0, class_id * 1000 + instance_id, got 12345"),
+    (_set("segments", 0, "encoded_id", "x"),
+     "{spath}: key segments[0].encoded_id must be an integer, got a string"),
 ], ids=["list", "bad-json", "no-segments", "no-kind", "not-an-object", "kind-integer",
         "index-out-of-place", "kind-banana", "area-off", "thing-as-stuff", "class-99",
-        "version-2", "instance-id-off"])
+        "version-2", "instance-id-off", "encoded-id-off", "encoded-id-string"])
 def test_eval_rejects_damaged_sidecar(capsys, masked_scene_and_pred, edit, message):
     scene_dir, pred = masked_scene_and_pred
     spath = pred / "segments.json"
@@ -747,7 +758,7 @@ def test_run_writes_the_library_forward(tmp_path, scene_and_params, variant, che
     scene, _ = load_scene(scene_dir)
     params = AffinityParams.load(ckpt) if checkpoint else None
     pmap = predict_panoptic(scene, params, Variant(variant), float(threshold))
-    save_panoptic(pmap, tmp_path / "lib")
+    container.write_files(tmp_path / "lib", panoptic_files(pmap, tmp_path / "lib"))
     for name in ("panoptic.panc", "segments.json"):
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
@@ -995,6 +1006,29 @@ def test_run_writes_nothing_when_a_later_scene_has_a_broken_magic(tmp_path, caps
     assert run_two_scenes(three_scenes, outs) == 3
     captured = capsys.readouterr()
     assert captured.err == f"error: bad magic in {features} (byte offset 0)\n"
+    assert captured.out == ""
+    assert not outs[0].exists() and not outs[1].exists()
+
+
+def _many_things_scene(root):
+    """A 32x32 scene of 1000 one-pixel thing detections: its map has 1000
+    thing segments, one more than the panoptic format holds."""
+    v = np.empty((32, 32, 2))
+    v[..., 0], v[..., 1] = 0.1, 0.9
+    dets = [Detection(Box(i % 32, i // 32, i % 32 + 1, i // 32 + 1), 0.9, 1)
+            for i in range(1000)]
+    save_scene(SceneCues(ClassCatalog(1, 1), v, dets, np.zeros((32, 32, 1))), root)
+
+
+def test_run_writes_nothing_when_a_later_map_is_refused(tmp_path, capsys, three_scenes):
+    _many_things_scene(tmp_path / "many")
+    outs = [tmp_path / "qa", tmp_path / "qb"]
+    capsys.readouterr()
+    assert run_cli("run", "--scene", str(three_scenes[0]), "--out", str(outs[0]),
+                   "--scene", str(tmp_path / "many"), "--out", str(outs[1])) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {outs[1] / 'panoptic.panc'}: instance id 1000 exceeds the "
+                            f"u32 encoding base; a map holds at most 999 thing segments\n")
     assert captured.out == ""
     assert not outs[0].exists() and not outs[1].exists()
 

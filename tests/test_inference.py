@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from panfuse.container import write_files
 from panfuse.errors import CueError, DimensionError, FormatError
 from panfuse.inference import (
     MergerParams,
@@ -12,7 +13,7 @@ from panfuse.inference import (
     infer_panoptic,
     panoptic_from_ground_truth,
     load_panoptic,
-    save_panoptic,
+    panoptic_files,
     trim_small_stuff,
 )
 from panfuse.numerics import VOID
@@ -79,7 +80,7 @@ def test_instance_ids_count_only_winning_thing_channels(tmp_path):
     pmap = infer_panoptic(argmax_channels(p), [0] + [2] * 1001, CATALOG)
     things = [s for s in pmap.segments if s.kind == "thing"]
     assert [s.instance_id for s in things] == [1, 2]
-    save_panoptic(pmap, tmp_path / "pred")
+    write_files(tmp_path / "pred", panoptic_files(pmap, tmp_path / "pred"))
     loaded = load_panoptic(tmp_path / "pred")
     assert np.array_equal(loaded.label_map, pmap.label_map)
 
@@ -95,7 +96,7 @@ def test_save_refuses_1000_thing_segments_before_creating_anything(tmp_path):
     with pytest.raises(FormatError, match=re.escape(
             f"{out / 'panoptic.panc'}: instance id 1000 exceeds the u32 encoding base; "
             "a map holds at most 999 thing segments")):
-        save_panoptic(pmap, out)
+        panoptic_files(pmap, out)
     assert not out.exists()
 
 
@@ -296,7 +297,7 @@ def test_panoptic_roundtrip(tmp_path):
     scene, gt = synth_scene(SynthConfig(), seed=23)
     pmap = panoptic_from_ground_truth(gt, scene.catalog)
     pmap = trim_small_stuff(pmap, 40)  # introduce some VOID
-    save_panoptic(pmap, tmp_path / "pred")
+    write_files(tmp_path / "pred", panoptic_files(pmap, tmp_path / "pred"))
     back = load_panoptic(tmp_path / "pred")
     assert np.array_equal(back.label_map, pmap.label_map)
     assert back.segments == pmap.segments

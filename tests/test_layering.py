@@ -3,6 +3,8 @@
 Read with ``ast`` from the relative imports of ``src/panfuse``, at any
 depth of a module: the import graph has no cycle, and only the command
 line imports the training module, so inference never runs code from it.
+Only ``container`` refers to its file writers: every other module hands
+its encoded files to ``container.write_files`` or ``write_json``.
 """
 
 import ast
@@ -40,3 +42,16 @@ def test_the_import_graph_has_no_cycle():
 
 def test_only_the_command_line_imports_training():
     assert sorted(name for name, imports in GRAPH.items() if "train" in imports) == ["cli"]
+
+
+def referred_names(path):
+    """The names that ``path`` uses, binds, reads as attributes or imports."""
+    nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+    return ({n.id for n in nodes if isinstance(n, ast.Name)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            | {n.name for n in nodes if isinstance(n, ast.alias)})
+
+
+def test_only_the_container_refers_to_its_file_writers():
+    writers = {"write_file", "write_tensor"}
+    assert [path.stem for path in LIBRARY if writers & referred_names(path)] == ["container"]

@@ -273,6 +273,35 @@ def test_matching_order_invariant_when_unique():
         assert pairs == base_pairs
 
 
+_boxes = st.builds(lambda x, y, w, h: Box(x, y, x + w, y + h),
+                   st.integers(0, 4), st.integers(0, 4), st.integers(3, 6), st.integers(3, 6))
+_things = st.sampled_from([1, 1, 2])  # mostly one class, so that pairs compete
+
+
+@st.composite
+def crowded_matchings(draw):
+    """Up to 7 ground-truth things and 7 detections, some of them copies, in
+    boxes near one corner of a 16x16 grid: many feasible pairs compete."""
+    segments = [GtSegment(i, cls, box, box.area) for i, (box, cls) in
+                enumerate(draw(st.lists(st.tuples(_boxes, _things), max_size=7)))]
+    dets = draw(st.lists(st.builds(Detection, _boxes, st.just(0.9), _things),
+                         min_size=1, max_size=7))
+    dets += [dets[i] for i in draw(st.lists(st.integers(0, len(dets) - 1), max_size=2))]
+    return GroundTruthPanoptic(np.zeros((16, 16), dtype=np.int32), segments), dets
+
+
+@given(case=crowded_matchings(), t=st.sampled_from([0.25, 0.5, 0.75]), data=st.data())
+def test_reordering_the_detections_keeps_the_total_iou(case, t, data):
+    # A tie may pick other pairs, but the optimal total is one number; only
+    # the order of its additions changes, so no drawn case needs skipping.
+    gt, dets = case
+    catalog = ClassCatalog(n_stuff=1, n_thing=2)
+    order = data.draw(st.permutations(range(len(dets))))
+    total = sum(p.iou for p in match_segments(gt, dets, t, catalog).pairs)
+    shuffled = match_segments(gt, [dets[i] for i in order], t, catalog)
+    assert sum(p.iou for p in shuffled.pairs) == pytest.approx(total, rel=1e-12, abs=0)
+
+
 def test_stuff_matches_by_class_identity():
     catalog = ClassCatalog(n_stuff=2, n_thing=1)
     # Stuff segment with a tight box much smaller than the full image:

@@ -25,7 +25,7 @@ from panfuse.metrics import (
 from panfuse.numerics import VOID
 from panfuse.scene import Box, ClassCatalog, Detection, SynthConfig, synth_scene
 from reference import argmax_channels, interpolated_ap
-from symmetry import predicted_scenes, relabelled
+from symmetry import flip_grid, predicted_scenes, relabelled
 
 
 def pmap_from_grid(grid, classes, kinds):
@@ -533,6 +533,19 @@ def test_relabelling_segment_ids_changes_no_count(scenes, data):
         gt_order = data.draw(st.permutations(range(len(gt.segments))))
         other.accumulate(PanopticMap(*relabelled(pred.label_map, pred.segments, pred_order)),
                          PanopticMap(*relabelled(gt.label_map, gt.segments, gt_order)))
+    assert_same_counts(other.per_class, stats.per_class)
+
+
+@pytest.mark.parametrize("how", ["horizontal", "vertical", "transpose"])
+@given(scenes=st.lists(predicted_scenes(), min_size=1, max_size=3))
+def test_flipping_both_maps_changes_no_count(how, scenes):
+    # PQ counts pixels and matches at IoU > 0.5, which no two pairs can tie.
+    stats, other = PQStats(), PQStats()
+    for scene, gt, pred in scenes:
+        gt = panoptic_from_ground_truth(gt, scene.catalog)
+        stats.accumulate(pred, gt)
+        other.accumulate(PanopticMap(flip_grid(pred.label_map, how), pred.segments),
+                         PanopticMap(flip_grid(gt.label_map, how), gt.segments))
     assert_same_counts(other.per_class, stats.per_class)
 
 
