@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .affinity import AffinityParams, project_head
-from .errors import CueError, NumericError
+from .errors import CueError, GenerationError, NumericError
 from .inference import MergerParams, PanopticMap, heuristic_merge, panoptic_from_ground_truth, predict_panoptic
 from .matching import TargetMap, build_target_map, match_segments, panoptic_matching_loss, target_channels
 from .metrics import PQReport, PQStats
@@ -71,9 +71,19 @@ class TrainingReport:
         }
 
 
+@dataclass(frozen=True)
+class SceneFeatures:
+    """The one cue of a scene that a training step reads."""
+
+    features: np.ndarray  # (h, w, feature_dim)
+
+
 @dataclass
 class SceneBundle:
-    """Per-scene quantities that stay fixed while parameters change.
+    """Per-scene quantities that stay fixed while parameters change: all
+    that ``loss_and_grads`` reads, and no more. ``scene`` holds the
+    features alone; the class probabilities and detections, masks included,
+    only build the potential and are not kept.
 
     Construction also derives what ``loss_and_grads`` needs from the
     potential, features and target, and checks the target against the
@@ -81,7 +91,7 @@ class SceneBundle:
     must not change afterwards.
     """
 
-    scene: SceneCues
+    scene: SceneFeatures
     potential: DensePotential
     target: TargetMap
     psi_flat: np.ndarray = field(init=False, repr=False)  # (pixels, k) view of psi
@@ -125,7 +135,7 @@ def prepare_training_scene(scene: SceneCues, gt: GroundTruthPanoptic,
     Detections are matched against ground truth; duplicate detections are
     dropped before the potential is built, so channel k is the k-th kept
     detection, and unmatched ground-truth segments become IGNORE in the
-    target.
+    target. The bundle keeps none of the scene's cues but its features.
     """
     if detections_source == "ground_truth":
         things = ground_truth_detections(scene, gt)
@@ -137,7 +147,8 @@ def prepare_training_scene(scene: SceneCues, gt: GroundTruthPanoptic,
     potential = build_potential(scene.semantic_probs, [dets[i] for i in kept],
                                 variant, scene.catalog)
     target = build_target_map(gt, match, kept)
-    return SceneBundle(scene=scene, target=target, potential=DensePotential(potential.psi))
+    return SceneBundle(scene=SceneFeatures(scene.features), target=target,
+                       potential=DensePotential(potential.psi))
 
 
 def loss_and_grads(bundle: SceneBundle, params: AffinityParams,
@@ -193,15 +204,26 @@ def loss_and_grads(bundle: SceneBundle, params: AffinityParams,
     return loss, d_w0, d_b0, features.T @ d, pixel_sum(d)
 
 
+def _pool_scene(cfg: TrainConfig, pool: str, i: int,
+                seed: int) -> tuple[SceneCues, GroundTruthPanoptic]:
+    """Scene ``i`` of a pool; a scene that cannot be generated is named by
+    its pool, index and seed."""
+    try:
+        return synth_scene(cfg.scene, seed=seed)
+    except GenerationError as e:
+        raise GenerationError(f"{pool} scene {i} (seed {seed}): {e}") from e
+
+
 def make_pool(cfg: TrainConfig) -> list[SceneBundle]:
-    scenes = [synth_scene(cfg.scene, seed=cfg.seed + i) for i in range(cfg.scenes)]
-    return [prepare_training_scene(s, g, cfg.variant, cfg.detections_source,
-                                   cfg.match_threshold)
-            for s, g in scenes]
+    """The training pool, one scene at a time: a scene's cues are gone once
+    its bundle is built, before the next scene is generated."""
+    return [prepare_training_scene(*_pool_scene(cfg, "training", i, cfg.seed + i),
+                                   cfg.variant, cfg.detections_source, cfg.match_threshold)
+            for i in range(cfg.scenes)]
 
 
 def make_eval_pool(cfg: TrainConfig) -> list[tuple[SceneCues, GroundTruthPanoptic]]:
-    return [synth_scene(cfg.scene, seed=cfg.seed + EVAL_SEED_OFFSET + i)
+    return [_pool_scene(cfg, "held-out", i, cfg.seed + EVAL_SEED_OFFSET + i)
             for i in range(cfg.eval_scenes)]
 
 
@@ -221,9 +243,11 @@ def train_toy(cfg: TrainConfig) -> TrainingReport:
     Scenes are visited round-robin; the loss curve records the pre-update
     loss of each step's scene. Raises ``NumericError`` with the step index
     if the loss goes non-finite; finite but huge features get there through
-    overflow, which the steps make silently.
+    overflow, which the steps make silently. The held-out pool is generated
+    first, so a scene that cannot be generated fails before any step.
     """
     cfg.validate()
+    eval_pool = make_eval_pool(cfg)
     pool = make_pool(cfg)
     params = AffinityParams.init(cfg.scene.feature_dim, seed=cfg.seed,
                                  scale=cfg.param_scale)
@@ -247,7 +271,6 @@ def train_toy(cfg: TrainConfig) -> TrainingReport:
             # arrays for this run alone.
             for w, d in zip((params.w0, params.b0, params.w1, params.b1), grads):
                 w -= cfg.learning_rate * d
-    eval_pool = make_eval_pool(cfg)
     trained = params if cfg.use_affinity else None
     final_pq = evaluate_pq(eval_pool, lambda scene: predict_panoptic(scene, trained, cfg.variant))
     return TrainingReport(loss_curve=losses, final_pq=final_pq,

@@ -1044,6 +1044,22 @@ def test_run_writes_nothing_when_a_later_out_is_a_file(tmp_path, capsys, three_s
     assert not outs[0].exists() and outs[1].read_text() == "kept"
 
 
+def test_train_fails_on_its_held_out_pool_before_any_step(tmp_path, capsys, monkeypatch):
+    # Training seeds 0 and 1 place their 6 instances; held-out seed 10008 does not.
+    from panfuse import train
+
+    steps = []
+    inner = train.loss_and_grads
+    monkeypatch.setattr(train, "loss_and_grads", lambda *a: steps.append(1) or inner(*a))
+    out = tmp_path / "o"
+    assert run_cli("train", "--out", str(out), "--instances", "6", "--scenes", "2",
+                   "--eval-scenes", "2", "--steps", "20000") == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: held-out scene 1 (seed 10008): could not place instance 6/6 "
+        "on a 32x32 grid after 200 attempts"]
+    assert steps == [] and not out.exists()
+
+
 def test_train_held_out_pq_equals_eval_of_the_same_predictions(tmp_path):
     # At seed 5, one running iou_sum over all held-out scenes once differed in
     # the last bit from eval's scene-by-scene sum (class 4).

@@ -1,5 +1,8 @@
+import dataclasses
+import gc
 import json
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +16,7 @@ from panfuse.affinity import (
     backward_affinity,
     project_features,
 )
-from panfuse.errors import DimensionError, NumericError
+from panfuse.errors import DimensionError, GenerationError, NumericError
 from panfuse.matching import TargetMap, match_segments, panoptic_matching_loss
 from panfuse.numerics import IGNORE
 from panfuse.potential import Variant, append_stuff_boxes, build_potential
@@ -294,6 +297,71 @@ def test_prepare_training_scene_drops_duplicates_before_the_potential():
             expected[gt.label_map == pair.gt_index] = kept.index(pair.detection_index)
         assert np.array_equal(bundle.target.label_map, expected)
     assert removed > 0
+
+
+def owned_arrays(obj):
+    """The arrays that own their data among those reachable from ``obj``
+    through dataclass fields, lists, tuples and the bases of views."""
+    seen, owners, todo = set(), [], [obj]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            if x.base is None:
+                owners.append(x)
+            else:
+                todo.append(x.base)
+        elif dataclasses.is_dataclass(x):
+            todo.extend(getattr(x, f.name) for f in dataclasses.fields(x))
+        elif isinstance(x, (list, tuple)):
+            todo.extend(x)
+    return owners
+
+
+def test_pool_bundle_holds_only_what_a_step_reads():
+    cfg = TrainConfig(scenes=3, seed=5, scene=POOL_SCENE, match_threshold=0.4)
+    assert cfg.scene.with_masks
+    for i, bundle in enumerate(make_pool(cfg)):
+        owners = owned_arrays(bundle)
+        read = [bundle.potential.psi, bundle.scene.features, bundle.target.label_map,
+                bundle.valid_pixels, bundle.ignored_pixels, bundle.target_flat]
+        assert sum(a.nbytes for a in owners) == sum(a.nbytes for a in read)
+        scene, _ = synth_scene(cfg.scene, seed=cfg.seed + i)
+        cues = [scene.semantic_probs] + [d.mask for d in scene.detections]
+        assert len(cues) > 1
+        held = {a.tobytes() for a in owners}
+        assert not any(c.tobytes() in held for c in cues)
+        assert bundle.scene.features.tobytes() == scene.features.tobytes()
+
+
+def test_make_pool_builds_one_scene_at_a_time(monkeypatch):
+    from panfuse import train
+
+    probs, alive = [], []
+
+    def synth(cfg, seed):
+        scene, gt = synth_scene(cfg, seed=seed)
+        probs.append(weakref.ref(scene.semantic_probs))
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in probs))
+        return scene, gt
+
+    monkeypatch.setattr(train, "synth_scene", synth)
+    cfg = TrainConfig(scenes=5, seed=2, scene=POOL_SCENE, match_threshold=0.4)
+    pool = make_pool(cfg)
+    gc.collect()
+    assert len(pool) == 5 and alive == [1] * 5
+    assert all(ref() is None for ref in probs)
+
+
+def test_pool_generation_error_names_the_pool_scene_and_seed():
+    crowded = small_cfg(scene=replace(SMALL_SCENE, n_instances=40), seed=7)
+    with pytest.raises(GenerationError, match=r"^training scene 0 \(seed 7\): could not place "):
+        make_pool(crowded)
+    with pytest.raises(GenerationError, match=r"^held-out scene 0 \(seed 10014\): could not place "):
+        make_eval_pool(crowded)
 
 
 def test_train_toy_matches_reference_loop():
